@@ -529,7 +529,8 @@ fn wait_on(flight: &Flight) -> Waited {
 /// [`OptError::Type`](crate::OptError::Type) for ill-typed input,
 /// otherwise exactly the errors of the underlying pipeline entry point.
 /// Failed runs are never cached (an error may be budget-dependent and
-/// transient).
+/// transient), and neither are resilient runs that rolled a pass back for
+/// its deadline.
 #[allow(clippy::too_many_lines)]
 pub fn optimize_cached(
     e: &Expr,
@@ -604,17 +605,19 @@ pub fn optimize_cached(
             let (out, report) = run(supply)?;
             cache.misses.fetch_add(1, Ordering::Relaxed);
             let (term, report) = (Arc::new(out), Arc::new(report));
-            cache.insert(
-                key,
-                CacheEntry {
-                    input: Arc::new(e.clone()),
-                    term: Arc::clone(&term),
-                    report: Arc::clone(&report),
-                    supply_high: supply.peek(),
-                    bytes: entry_cost(&report),
-                    stamp: cache.clock.fetch_add(1, Ordering::Relaxed),
-                },
-            );
+            if !report.hit_deadline() {
+                cache.insert(
+                    key,
+                    CacheEntry {
+                        input: Arc::new(e.clone()),
+                        term: Arc::clone(&term),
+                        report: Arc::clone(&report),
+                        supply_high: supply.peek(),
+                        bytes: entry_cost(&report),
+                        stamp: cache.clock.fetch_add(1, Ordering::Relaxed),
+                    },
+                );
+            }
             return Ok((term, report, false));
         }
         // No resident α-match, nothing in flight: lead.
@@ -656,7 +659,6 @@ pub fn optimize_cached(
                         passes: Vec::new(),
                         census_after: Census::of(&term),
                         wall: Duration::ZERO,
-                        leaked_workers: 0,
                     });
                     supply.advance_past(stored.supply_high);
                     cache.insert(
@@ -686,6 +688,12 @@ pub fn optimize_cached(
     cache.misses.fetch_add(1, Ordering::Relaxed);
     let supply_high = supply.peek();
     let (term, report) = (Arc::new(out), Arc::new(report));
+    if report.hit_deadline() {
+        // The rollback depended on timing, not on the key: hand the
+        // degraded result to this request and its waiters, cache nothing.
+        flight_guard.finish(Arc::clone(&term), Arc::clone(&report), supply_high);
+        return Ok((term, report, false));
+    }
     let input = Arc::new(e.clone());
     cache.insert(
         key,
@@ -1165,12 +1173,49 @@ mod tests {
                 .fingerprint()
                 .unwrap()
         );
-        assert_ne!(
+        // Deadline-degraded runs are never cached, so compiles with and
+        // without a deadline share entries.
+        assert_eq!(
             a,
             OptConfig::join_points()
-                .with_pass_deadline(std::time::Duration::from_millis(50))
+                .with_pass_deadline(Duration::from_millis(50))
                 .fingerprint()
                 .unwrap()
         );
+    }
+
+    #[test]
+    fn deadline_degraded_results_are_never_cached() {
+        #[derive(Default)]
+        struct CountingStore {
+            writes: AtomicU64,
+        }
+        impl CacheStore for CountingStore {
+            fn load(&self, _: &CacheKey) -> DiskLoad {
+                DiskLoad::Absent
+            }
+            fn store(&self, _: &CacheKey, _: &Expr, _: &Expr, _: &DataEnv) -> bool {
+                self.writes.fetch_add(1, Ordering::Relaxed);
+                true
+            }
+        }
+        let store = Arc::new(CountingStore::default());
+        let cache = OptCache::default().with_store(Arc::clone(&store) as _);
+        // Every pass returns after a 1 ns deadline, so every pass rolls back.
+        let cfg = OptConfig::join_points().with_pass_deadline(Duration::from_nanos(1));
+        let mut d = Dsl::new();
+        let e = program(&mut d);
+        for round in 0..2 {
+            let (_, report, hit) =
+                optimize_cached(&e, &d.data_env, &mut d.supply, &cfg, true, &cache).unwrap();
+            assert!(report.hit_deadline(), "round {round}: {report}");
+            assert!(!hit, "round {round}: a deadline-degraded result was cached");
+        }
+        assert_eq!(
+            store.writes.load(Ordering::Relaxed),
+            0,
+            "degraded result persisted"
+        );
+        assert_eq!(cache.stats().entries, 0);
     }
 }

@@ -103,6 +103,7 @@ impl Contifier<'_> {
     }
 
     fn go(&mut self, e: &Expr) -> Result<Expr, OptError> {
+        crate::guard::poll();
         match e {
             Expr::Var(_) | Expr::Lit(_) => Ok(e.clone()),
             Expr::Prim(op, args) => Ok(Expr::Prim(

@@ -87,6 +87,7 @@ fn worthwhile(e: &Expr) -> bool {
 impl Cse<'_> {
     #[allow(clippy::too_many_lines)]
     fn go(&mut self, e: &Expr, memo: &mut Memo) -> Expr {
+        crate::guard::poll();
         match e {
             Expr::Var(_) | Expr::Lit(_) => e.clone(),
             Expr::Prim(op, args) => {

@@ -38,6 +38,7 @@ pub fn float_in_counting(e: &Expr) -> (Expr, u64) {
 }
 
 fn go(e: &Expr, moved: &mut u64) -> Expr {
+    crate::guard::poll();
     match e {
         Expr::Var(_) | Expr::Lit(_) => e.clone(),
         Expr::Prim(op, args) => Expr::Prim(*op, args.iter().map(|a| go(a, moved)).collect()),

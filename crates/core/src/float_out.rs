@@ -27,6 +27,7 @@ pub fn float_out_counting(e: &Expr) -> (Expr, u64) {
 }
 
 fn go(e: &Expr, hoisted: &mut u64) -> Expr {
+    crate::guard::poll();
     match e {
         Expr::Var(_) | Expr::Lit(_) => e.clone(),
         Expr::Prim(op, args) => Expr::Prim(*op, args.iter().map(|a| go(a, hoisted)).collect()),

@@ -11,11 +11,16 @@
 //! what to do with a failure — abort (strict mode) or roll back to the
 //! pre-pass term and keep going (resilient mode).
 //!
-//! Deadlines are implemented by running the pass on a fresh thread and
-//! abandoning it on timeout (terms are `Send`: names intern per thread via
-//! `Arc<str>`). The abandoned thread keeps running, so long-running
-//! cooperative code (like the Saboteur's spin mode) should poll
-//! [`PassCtx::cancelled`] and bail out once the driver has given up on it.
+//! Deadlines are cooperative and run on the calling thread, the same idiom
+//! as the machine's and VM's step-counted clock checks: the guard arms a
+//! thread-local deadline, and every pass calls [`poll`] at the top of its
+//! recursive traversal. A poll reads the clock once every
+//! `POLL_MASK + 1` visits and, past the deadline, unwinds out of the pass
+//! with a private payload (via `resume_unwind`, which skips the panic
+//! hook) that the guard reports as [`RollbackReason::DeadlineExceeded`].
+//! A pass that returns after its deadline without tripping a poll is
+//! reported the same way. Tap code that waits (the Saboteur's spin mode)
+//! polls [`PassCtx::cancelled`] instead.
 
 use crate::pipeline::Pass;
 use crate::simplify::SimplOpts;
@@ -26,42 +31,24 @@ use fj_ast::{DataEnv, Expr, NameSupply};
 use std::cell::Cell;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Once};
-use std::time::Duration;
+use std::sync::{Arc, Once};
+use std::time::{Duration, Instant};
 
-/// Cooperative cancellation flag shared between the pipeline driver and a
-/// pass running on a guard thread. Set when the driver abandons the pass
-/// (deadline exceeded); long-running tap code should poll it and return.
-#[derive(Clone, Debug, Default)]
-pub struct CancelFlag(Arc<AtomicBool>);
-
-impl CancelFlag {
-    /// Has the driver given up on this pass?
-    pub fn is_set(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    fn set(&self) {
-        self.0.store(true, Ordering::Relaxed);
-    }
-}
-
-/// What a [`PassTap`] sees: which pass just ran, where it sits in the
-/// pipeline, and the cancellation flag for cooperative bail-out.
+/// What a [`PassTap`] sees: which pass just ran and where it sits in the
+/// pipeline.
 pub struct PassCtx {
     /// Pass name (as in [`Pass::name`]).
     pub pass: &'static str,
     /// Zero-based position of the pass in the pipeline.
     pub index: usize,
-    cancel: CancelFlag,
 }
 
 impl PassCtx {
-    /// Has the driver abandoned this pass (deadline exceeded)? Long-running
-    /// tap code should poll this and return promptly once it is set.
+    /// Has this pass's deadline passed? Long-running tap code should poll
+    /// this and return promptly once it is set; the guard then reports the
+    /// pass as [`RollbackReason::DeadlineExceeded`].
     pub fn cancelled(&self) -> bool {
-        self.cancel.is_set()
+        deadline_passed()
     }
 }
 
@@ -107,7 +94,7 @@ pub enum RollbackReason {
     LintViolation(Box<OptError>),
     /// The pass (or an injected fault) panicked; the payload message.
     Panic(String),
-    /// The pass blew its wall-clock deadline and was abandoned.
+    /// The pass ran past its wall-clock deadline.
     DeadlineExceeded {
         /// The configured per-pass deadline.
         limit: Duration,
@@ -129,13 +116,6 @@ pub enum RollbackReason {
         /// ([`OptConfig::max_passes`](crate::OptConfig)).
         max_passes: usize,
     },
-    /// The process has accumulated [`MAX_LEAKED_WORKERS`] abandoned guard
-    /// workers that are still grinding on timed-out passes, so the pass
-    /// was refused rather than allowed to spawn yet another thread.
-    GuardExhausted {
-        /// Abandoned workers still alive when the pass was refused.
-        leaked: usize,
-    },
 }
 
 impl RollbackReason {
@@ -148,7 +128,6 @@ impl RollbackReason {
             RollbackReason::DeadlineExceeded { .. } => "deadline",
             RollbackReason::GrowthBudget { .. } => "growth",
             RollbackReason::PassBudget { .. } => "pass-budget",
-            RollbackReason::GuardExhausted { .. } => "guard-exhausted",
         }
     }
 
@@ -180,14 +159,6 @@ impl RollbackReason {
                 kind: BudgetKind::Passes,
                 reason: format!("pipeline budget of {max_passes} passes already spent"),
             },
-            RollbackReason::GuardExhausted { leaked } => OptError::Budget {
-                pass,
-                kind: BudgetKind::Workers,
-                reason: format!(
-                    "{leaked} abandoned guard workers still running \
-                     (cap {MAX_LEAKED_WORKERS}); refusing to spawn another"
-                ),
-            },
         }
     }
 }
@@ -216,173 +187,64 @@ impl fmt::Display for RollbackReason {
             RollbackReason::PassBudget { max_passes } => {
                 write!(f, "pass budget spent ({max_passes} passes)")
             }
-            RollbackReason::GuardExhausted { leaked } => {
-                write!(
-                    f,
-                    "guard workers exhausted ({leaked} leaked, cap {MAX_LEAKED_WORKERS})"
-                )
-            }
         }
     }
 }
+
+/// [`poll`] reads the clock once every `POLL_MASK + 1` calls. A traversal
+/// visit costs roughly 0.7 µs, so this bounds the overshoot past a
+/// deadline to about 0.2 ms while keeping clock reads off the hot path.
+const POLL_MASK: u32 = 0xFF;
 
 thread_local! {
     static SUPPRESS_PANIC_REPORT: Cell<bool> = const { Cell::new(false) };
+    /// The deadline of the pass running on this thread, if any.
+    static DEADLINE: Cell<Option<Instant>> = const { Cell::new(None) };
+    /// [`poll`] calls on this thread, for sampling the clock.
+    static POLLS: Cell<u32> = const { Cell::new(0) };
 }
 
-/// A unit of work shipped to the deadline worker thread.
-type Job = Box<dyn FnOnce() + Send>;
+/// The unwind payload of a [`poll`] that found its deadline passed.
+struct DeadlineHit;
 
-/// Abandoned guard workers (deadline timeouts) whose threads are still
-/// alive: incremented when a timeout poisons a worker slot, decremented
-/// by the worker thread itself once its stuck job finally returns and it
-/// exits. A pass that never polls [`CancelFlag`] pins this counter up
-/// forever — which is exactly why [`MAX_LEAKED_WORKERS`] exists.
-static LEAKED_WORKERS: AtomicUsize = AtomicUsize::new(0);
-
-/// Cap on simultaneously-leaked guard workers, process-wide. Once this
-/// many abandoned threads are still running, deadline-guarded passes are
-/// *refused* ([`RollbackReason::GuardExhausted`]) instead of being
-/// allowed to spawn an unbounded pile of runaway threads. Rollback costs
-/// one optimization opportunity; unbounded thread growth costs the
-/// process.
-pub const MAX_LEAKED_WORKERS: usize = 8;
-
-/// How many abandoned guard workers are still alive right now
-/// (process-wide). Exposed in
-/// [`PipelineReport::leaked_workers`](crate::PipelineReport) and the
-/// `fj serve` `stats` response; the saboteur `inject-spin` suite asserts
-/// it stays below [`MAX_LEAKED_WORKERS`] and drains back to zero once
-/// cooperative spins notice their cancel flag.
-pub fn leaked_guard_workers() -> usize {
-    LEAKED_WORKERS.load(Ordering::SeqCst)
-}
-
-/// A long-lived worker thread that runs deadline-guarded passes, reused
-/// across passes and pipelines on the same driver thread. Spawning a
-/// thread per guarded pass costs tens of microseconds each; a pipeline
-/// with a deadline runs a dozen passes per term and thousands of terms per
-/// differential suite, so the guard keeps one worker alive and feeds it
-/// jobs over a channel instead.
-///
-/// On timeout the driver *abandons* the worker mid-job (the job keeps
-/// running; cooperative code polls [`CancelFlag`]) and the slot is
-/// poisoned: the next deadline-guarded pass spawns a fresh worker, and the
-/// abandoned one exits on its own once its stuck job finishes and the
-/// job channel reports disconnect. Each abandonment is counted in
-/// [`LEAKED_WORKERS`] until the thread actually exits.
-struct DeadlineWorker {
-    jobs: mpsc::Sender<Job>,
-    /// Set by [`poison_worker`] when the driver walks away; the worker
-    /// thread reads it on exit to settle the leak counter.
-    abandoned: Arc<AtomicBool>,
-}
-
-/// Decrements [`LEAKED_WORKERS`] when an abandoned worker thread finally
-/// exits — a drop guard so the decrement happens even if the stuck job
-/// panics on its way out.
-struct LeakSettler(Arc<AtomicBool>);
-
-impl Drop for LeakSettler {
-    fn drop(&mut self) {
-        if self.0.load(Ordering::SeqCst) {
-            LEAKED_WORKERS.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-}
-
-impl DeadlineWorker {
-    fn spawn() -> Option<DeadlineWorker> {
-        let (jobs, inbox) = mpsc::channel::<Job>();
-        let abandoned = Arc::new(AtomicBool::new(false));
-        let settler = LeakSettler(Arc::clone(&abandoned));
-        std::thread::Builder::new()
-            .name("fj-guard-worker".into())
-            .spawn(move || {
-                let _settler = settler;
-                while let Ok(job) = inbox.recv() {
-                    job();
-                }
-            })
-            .ok()
-            .map(|_| DeadlineWorker { jobs, abandoned })
-    }
-}
-
-thread_local! {
-    static WORKER: Cell<Option<DeadlineWorker>> = const { Cell::new(None) };
-}
-
-/// Outcome of trying to hand a job to this thread's deadline worker.
-enum Submit {
-    /// The job is on a worker's queue.
-    Accepted,
-    /// No worker thread could be spawned at all (resource exhaustion at
-    /// the OS level); the caller runs the pass inline, un-timed.
-    NoThread,
-    /// The leaked-worker cap is reached; the caller must refuse the pass.
-    CapReached {
-        /// The leak count observed at refusal time.
-        leaked: usize,
-    },
-}
-
-/// Hand `job` to this thread's deadline worker, (re)spawning it if the
-/// slot is empty or the resident worker has died. Spawning a replacement
-/// is refused while [`MAX_LEAKED_WORKERS`] abandoned workers are still
-/// running — reusing a healthy resident worker is always allowed.
-fn submit_job(job: Job) -> Submit {
-    WORKER.with(|slot| {
-        if let Some(worker) = slot.take() {
-            match worker.jobs.send(job) {
-                Ok(()) => {
-                    slot.set(Some(worker));
-                    return Submit::Accepted;
-                }
-                // The worker died (its receiver is gone): fall through and
-                // respawn with the job we got back.
-                Err(mpsc::SendError(returned)) => {
-                    return spawn_and_submit(slot, returned);
-                }
-            }
-        }
-        spawn_and_submit(slot, job)
-    })
-}
-
-/// Spawn a fresh worker for `job`, honouring the leak cap.
-fn spawn_and_submit(slot: &Cell<Option<DeadlineWorker>>, job: Job) -> Submit {
-    let leaked = leaked_guard_workers();
-    if leaked >= MAX_LEAKED_WORKERS {
-        return Submit::CapReached { leaked };
-    }
-    let Some(fresh) = DeadlineWorker::spawn() else {
-        return Submit::NoThread;
-    };
-    if fresh.jobs.send(job).is_ok() {
-        slot.set(Some(fresh));
-        Submit::Accepted
-    } else {
-        Submit::NoThread
-    }
-}
-
-/// Poison this thread's worker slot after a timeout: the resident worker
-/// is still grinding on the abandoned job, so the next guarded pass must
-/// not queue behind it. Dropping the sender lets the abandoned worker
-/// exit once it finishes; until then it is accounted in
-/// [`LEAKED_WORKERS`].
-fn poison_worker() {
-    WORKER.with(|slot| {
-        if let Some(worker) = slot.take() {
-            // Order matters: mark-then-count. The worker only settles the
-            // counter after observing `abandoned == true`, and it cannot
-            // observe it before this store; the increment below therefore
-            // cannot be missed or double-settled.
-            worker.abandoned.store(true, Ordering::SeqCst);
-            LEAKED_WORKERS.fetch_add(1, Ordering::SeqCst);
-        }
+/// A cooperative cancellation point, called once per node at the top of
+/// every pass traversal. Unwinds out of the pass once the deadline armed
+/// by [`run_pass_guarded`] has passed; with no deadline armed it only
+/// bumps a counter.
+#[inline]
+pub(crate) fn poll() {
+    let n = POLLS.with(|c| {
+        let n = c.get().wrapping_add(1);
+        c.set(n);
+        n
     });
+    if n & POLL_MASK == 0 && deadline_passed() {
+        panic::resume_unwind(Box::new(DeadlineHit));
+    }
+}
+
+/// Has the deadline armed on this thread passed? `false` when unarmed.
+fn deadline_passed() -> bool {
+    DEADLINE
+        .with(Cell::get)
+        .is_some_and(|t| Instant::now() >= t)
+}
+
+/// RAII guard arming this thread's deadline; restores the previous one on
+/// drop, unwinding included.
+struct Armed(Option<Instant>);
+
+impl Armed {
+    fn new(limit: Option<Duration>) -> Armed {
+        let deadline = limit.map(|limit| Instant::now() + limit);
+        Armed(DEADLINE.with(|d| d.replace(deadline)))
+    }
+}
+
+impl Drop for Armed {
+    fn drop(&mut self) {
+        DEADLINE.with(|d| d.set(self.0));
+    }
 }
 
 /// Install (once, process-wide) a panic hook that stays silent while a
@@ -460,12 +322,12 @@ fn run_tapped(
     }
 }
 
-/// Run one pass under the full guard: `catch_unwind` panic isolation and,
-/// when `deadline` is set, a watchdog that abandons the pass after the
-/// allotted wall-clock time. On success the name supply is advanced past
-/// any names the pass drew; on timeout the supply is left untouched (the
-/// abandoned thread's draws are simply discarded — names are never reused
-/// because the abandoned output is dropped wholesale).
+/// Run one pass inline under the full guard: `catch_unwind` panic
+/// isolation and, when `deadline` is set, a cooperative deadline that the
+/// pass's traversal polls. A pass that trips the deadline, or returns
+/// after it, is reported as [`RollbackReason::DeadlineExceeded`]. The
+/// name supply keeps whatever names the pass drew, even when its output
+/// is discarded, so names are never reused.
 #[allow(clippy::too_many_arguments)] // internal driver seam, not public API
 pub(crate) fn run_pass_guarded(
     e: &Expr,
@@ -478,79 +340,27 @@ pub(crate) fn run_pass_guarded(
     tap: Option<&PassTap>,
 ) -> Result<(Expr, RewriteStats, bool), RollbackReason> {
     install_quiet_panic_hook();
-    match deadline {
-        None => {
-            let ctx = PassCtx {
-                pass: pass.name(),
-                index,
-                cancel: CancelFlag::default(),
-            };
-            let caught = {
-                let _quiet = Quiet::on();
-                panic::catch_unwind(AssertUnwindSafe(|| {
-                    run_tapped(e, data_env, supply, pass, simpl, &ctx, tap)
-                }))
-            };
-            match caught {
-                Ok(Ok(out)) => Ok(out),
-                Ok(Err(err)) => Err(RollbackReason::PassError(Box::new(err))),
-                Err(payload) => Err(RollbackReason::Panic(panic_message(payload))),
-            }
-        }
-        Some(limit) => {
-            let (tx, rx) = mpsc::channel();
-            let cancel = CancelFlag::default();
-            let ctx = PassCtx {
-                pass: pass.name(),
-                index,
-                cancel: cancel.clone(),
-            };
-            let (e2, env2, mut supply2, simpl2, tap2) = (
-                e.clone(),
-                data_env.clone(),
-                supply.clone(),
-                simpl.clone(),
-                tap.cloned(),
-            );
-            let job: Job = Box::new(move || {
-                let caught = {
-                    let _quiet = Quiet::on();
-                    panic::catch_unwind(AssertUnwindSafe(|| {
-                        run_tapped(&e2, &env2, &mut supply2, pass, &simpl2, &ctx, tap2.as_ref())
-                    }))
-                };
-                // The receiver may be gone (deadline hit): ignore.
-                let _ = tx.send((caught, supply2));
-            });
-            match submit_job(job) {
-                Submit::Accepted => {}
-                Submit::CapReached { leaked } => {
-                    // Too many runaway threads already. Running inline is
-                    // not an option either (an un-cancellable spin would
-                    // hang the driver itself), so refuse the pass.
-                    return Err(RollbackReason::GuardExhausted { leaked });
-                }
-                Submit::NoThread => {
-                    // No worker thread available at all: run inline,
-                    // un-timed.
-                    return run_pass_guarded(e, data_env, supply, pass, simpl, index, None, tap);
-                }
-            }
-            match rx.recv_timeout(limit) {
-                Ok((caught, supply_after)) => {
-                    *supply = supply_after;
-                    match caught {
-                        Ok(Ok(out)) => Ok(out),
-                        Ok(Err(err)) => Err(RollbackReason::PassError(Box::new(err))),
-                        Err(payload) => Err(RollbackReason::Panic(panic_message(payload))),
-                    }
-                }
-                Err(_) => {
-                    cancel.set();
-                    poison_worker();
-                    Err(RollbackReason::DeadlineExceeded { limit })
-                }
-            }
-        }
+    let ctx = PassCtx {
+        pass: pass.name(),
+        index,
+    };
+    let _armed = Armed::new(deadline);
+    let caught = {
+        let _quiet = Quiet::on();
+        panic::catch_unwind(AssertUnwindSafe(|| {
+            run_tapped(e, data_env, supply, pass, simpl, &ctx, tap)
+        }))
+    };
+    // Only an armed deadline can trip a poll or pass, so `deadline` is
+    // always set where this is used.
+    let timed_out = || RollbackReason::DeadlineExceeded {
+        limit: deadline.unwrap_or_default(),
+    };
+    match caught {
+        Err(payload) if payload.is::<DeadlineHit>() => Err(timed_out()),
+        Err(payload) => Err(RollbackReason::Panic(panic_message(payload))),
+        Ok(Err(err)) => Err(RollbackReason::PassError(Box::new(err))),
+        Ok(Ok(_)) if deadline_passed() => Err(timed_out()),
+        Ok(Ok(out)) => Ok(out),
     }
 }

@@ -83,14 +83,10 @@ pub use cse::{cse, CseOutcome};
 pub use erase::{erase, is_commuting_normal};
 pub use float_in::{float_in, float_in_counting};
 pub use float_out::{float_out, float_out_counting};
-pub use guard::{
-    leaked_guard_workers, panic_message, quiet_panics, PassCtx, PassResult, PassTap,
-    RollbackReason, MAX_LEAKED_WORKERS,
-};
+pub use guard::{panic_message, quiet_panics, PassCtx, PassResult, PassTap, RollbackReason};
 pub use par::{optimize_many, par_map, par_threads, BoundedQueue};
 pub use pipeline::{
-    apply_pass, optimize, optimize_resilient, optimize_with_report, optimize_with_stats, OptConfig,
-    OptStats, Pass,
+    apply_pass, optimize, optimize_resilient, optimize_with_report, OptConfig, Pass,
 };
 pub use simplify::{simplify, simplify_once, simplify_once_stats, simplify_stats, SimplOpts};
 pub use stats::{Census, PassOutcome, PassStats, PipelineReport, RewriteStats};
@@ -141,8 +137,6 @@ pub enum BudgetKind {
     Growth,
     /// The executed-pass count (`OptConfig::max_passes`).
     Passes,
-    /// The abandoned guard-worker cap (`MAX_LEAKED_WORKERS`).
-    Workers,
 }
 
 impl fmt::Display for OptError {

@@ -100,6 +100,7 @@ pub fn analyze(e: &Expr) -> OccMap {
 }
 
 fn go(e: &Expr, in_lambda: bool, m: &mut OccMap) {
+    crate::guard::poll();
     match e {
         Expr::Var(x) => m.record(x, in_lambda),
         Expr::Lit(_) => {}

@@ -65,9 +65,9 @@ pub struct OptConfig {
     /// resilient driver lints after every pass regardless — rollback is
     /// meaningless without detection.
     pub lint_between: bool,
-    /// Per-pass wall-clock deadline. When set, each pass runs on a guard
-    /// thread that is abandoned on timeout (fail-fast: [`OptError::Budget`];
-    /// resilient: rollback). Default `None`: passes run inline, un-timed.
+    /// Per-pass wall-clock deadline, polled cooperatively by every pass
+    /// traversal on the calling thread (fail-fast: [`OptError::Budget`];
+    /// resilient: rollback). Default `None`: un-timed.
     pub pass_deadline: Option<Duration>,
     /// Maximum per-pass term-size growth factor. A pass whose output
     /// exceeds `max(before * factor, GROWTH_FLOOR)` nodes fails its budget.
@@ -189,6 +189,10 @@ impl OptConfig {
     /// functions (the fault-injection seam), so two configs with taps can
     /// never be proven equivalent and tapped pipelines must bypass the
     /// cache entirely.
+    ///
+    /// The pass deadline is left out: a run it cuts short either fails
+    /// (strict) or is degraded by a rollback (resilient), and neither is
+    /// ever cached, so every cached output is independent of it.
     pub fn fingerprint(&self) -> Option<u64> {
         use std::hash::{Hash, Hasher};
         if self.tap.is_some() {
@@ -204,22 +208,10 @@ impl OptConfig {
         self.simpl.dup_size.hash(&mut h);
         self.simpl.max_rounds.hash(&mut h);
         self.lint_between.hash(&mut h);
-        self.pass_deadline.hash(&mut h);
         self.max_growth.map(f64::to_bits).hash(&mut h);
         self.max_passes.hash(&mut h);
         Some(h.finish())
     }
-}
-
-/// What the pipeline did, for reporting.
-#[derive(Clone, Debug, Default)]
-pub struct OptStats {
-    /// Names of the passes that ran, in order.
-    pub passes_run: Vec<&'static str>,
-    /// Term size before optimization.
-    pub size_before: usize,
-    /// Term size after optimization.
-    pub size_after: usize,
 }
 
 /// Run a pipeline over a closed, well-typed term.
@@ -236,26 +228,6 @@ pub fn optimize(
     cfg: &OptConfig,
 ) -> Result<Expr, OptError> {
     optimize_with_report(e, data_env, supply, cfg).map(|(e, _)| e)
-}
-
-/// As [`optimize`], also returning [`OptStats`].
-///
-/// # Errors
-///
-/// As [`optimize`].
-pub fn optimize_with_stats(
-    e: &Expr,
-    data_env: &DataEnv,
-    supply: &mut NameSupply,
-    cfg: &OptConfig,
-) -> Result<(Expr, OptStats), OptError> {
-    let (out, report) = optimize_with_report(e, data_env, supply, cfg)?;
-    let stats = OptStats {
-        passes_run: report.passes.iter().map(|p| p.pass).collect(),
-        size_before: report.census_before.size,
-        size_after: report.census_after.size,
-    };
-    Ok((out, stats))
 }
 
 /// Run one pass over a term, returning the output, the rewrite counters
@@ -375,8 +347,8 @@ fn rolled_back(
 
 /// The one pipeline driver: [`optimize_with_report`] is `FailFast`,
 /// [`optimize_resilient`] is `RollBack`. Strict mode with no deadline and
-/// no tap runs passes inline (panics propagate exactly as before); any
-/// other combination routes through the guard.
+/// no tap calls [`apply_pass`] directly (panics propagate); any other
+/// combination routes through the guard.
 fn run_pipeline(
     e: &Expr,
     data_env: &DataEnv,
@@ -523,6 +495,5 @@ fn run_pipeline(
     }
     report.census_after = census;
     report.wall = started.elapsed();
-    report.leaked_workers = crate::guard::leaked_guard_workers();
     Ok((cur, report))
 }

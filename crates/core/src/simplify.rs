@@ -493,6 +493,7 @@ impl Simplifier<'_> {
 
     #[allow(clippy::too_many_lines)]
     fn simpl(&mut self, e: &Expr, cont: Cont) -> Result<Expr, OptError> {
+        crate::guard::poll();
         match e {
             Expr::Var(x) => {
                 if let Some(img) = self.subst.get(x).cloned() {

@@ -248,12 +248,6 @@ pub struct PipelineReport {
     pub census_after: Census,
     /// Total wall-clock time across passes.
     pub wall: Duration,
-    /// Abandoned deadline-guard workers still alive when the pipeline
-    /// finished (process-wide; see
-    /// [`leaked_guard_workers`](crate::leaked_guard_workers)). Non-zero
-    /// means some earlier pass blew its deadline and its thread has not
-    /// yet noticed the cancellation.
-    pub leaked_workers: usize,
 }
 
 impl PipelineReport {
@@ -284,6 +278,17 @@ impl PipelineReport {
     pub fn all_applied(&self) -> bool {
         self.passes.iter().all(|p| p.outcome.is_applied())
     }
+
+    /// Was a pass rolled back for its deadline? Such a result depends on
+    /// timing rather than on the input, so no cache tier keeps it.
+    pub fn hit_deadline(&self) -> bool {
+        self.rolled_back().any(|p| {
+            matches!(
+                p.outcome,
+                PassOutcome::RolledBack(RollbackReason::DeadlineExceeded { .. })
+            )
+        })
+    }
 }
 
 impl fmt::Display for PipelineReport {
@@ -303,11 +308,7 @@ impl fmt::Display for PipelineReport {
                 )?,
             }
         }
-        write!(f, "output: {}  (total {:?})", self.census_after, self.wall)?;
-        if self.leaked_workers > 0 {
-            write!(f, "\nleaked guard workers: {}", self.leaked_workers)?;
-        }
-        Ok(())
+        write!(f, "output: {}  (total {:?})", self.census_after, self.wall)
     }
 }
 

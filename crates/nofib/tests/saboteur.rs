@@ -33,16 +33,6 @@ fn matrix(mode: Sabotage) {
         let (out, report) =
             optimize_resilient(&lowered.expr, &lowered.data_env, &mut lowered.supply, &cfg)
                 .unwrap_or_else(|e| panic!("{}: resilient pipeline failed: {e}", p.name));
-        // Abandoned deadline workers are capped and cooperative spins
-        // unwind once cancelled, so the per-run report never sees more
-        // than the spawn cap.
-        assert!(
-            report.leaked_workers <= fj_core::MAX_LEAKED_WORKERS,
-            "{} [{}]: {} leaked workers exceeds the cap",
-            p.name,
-            mode.name(),
-            report.leaked_workers
-        );
         let fired = handle.fired();
         fired_total += fired;
         let rolled: Vec<_> = report.rolled_back().collect();
@@ -89,20 +79,6 @@ fn matrix(mode: Sabotage) {
         "mode {} never fired on any benchmark — the matrix is vacuous",
         mode.name()
     );
-    if mode == Sabotage::InjectSpin {
-        // The spins are cooperative: every worker the deadline abandoned
-        // must eventually observe its cancel flag and exit, settling the
-        // process-wide leak counter back to zero.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while fj_core::leaked_guard_workers() > 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "{} abandoned workers never drained",
-                fj_core::leaked_guard_workers()
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        }
-    }
 }
 
 #[test]

@@ -72,8 +72,8 @@ use fj_ast::{alpha_fingerprint, DataEnv, Expr, NameSupply};
 use fj_core::cache::{CacheStore, OptCache, DEFAULT_CACHE_BYTES, DEFAULT_SHARDS};
 use fj_core::stats::PipelineReport;
 use fj_core::{
-    leaked_guard_workers, optimize_cached, optimize_resilient, optimize_with_report, BudgetKind,
-    CacheStats, OptConfig, OptError,
+    optimize_cached, optimize_resilient, optimize_with_report, BudgetKind, CacheStats, OptConfig,
+    OptError,
 };
 use fj_eval::{EvalMode, MachineError, Metrics, Outcome};
 use fj_surface::SurfaceError;
@@ -616,7 +616,8 @@ impl ServerState {
             data_env: Arc::new(lowered.data_env),
             supply: lowered.supply,
         };
-        if opts.use_cache {
+        // A deadline rollback depends on timing, so it is never memoized.
+        if opts.use_cache && !compiled.report.hit_deadline() {
             if let Some(key) = src_key {
                 self.source_insert(key, source, &compiled);
             }
@@ -845,10 +846,6 @@ impl ServerState {
                     ),
                     ("size_after", Value::num(c.report.census_after.size as u64)),
                     ("passes", Value::Arr(passes)),
-                    (
-                        "leaked_guard_workers",
-                        Value::num(c.report.leaked_workers as u64),
-                    ),
                 ])
             }
             Err(e) => error_response(&e),
@@ -920,10 +917,6 @@ impl ServerState {
                     ),
                     ("draining", Value::Bool(self.shutting_down())),
                 ]),
-            ),
-            (
-                "leaked_guard_workers",
-                Value::num(leaked_guard_workers() as u64),
             ),
             (
                 "uptime_ms",

@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate. Everything here runs fully offline: the
-# default workspace has zero external dependencies (criterion benches
-# live in their own workspace under crates/bench and are not touched).
+# workspace has zero external dependencies.
 #
 # Usage: scripts/verify.sh [--quick]
 #   --quick   skip the release build (debug test run only)

@@ -66,7 +66,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use system_fj::check::lint;
-use system_fj::core::{erase, optimize_resilient, optimize_with_stats, OptConfig};
+use system_fj::core::{erase, optimize_resilient, optimize_with_report, OptConfig};
 use system_fj::eval::{EvalMode, MachineError};
 use system_fj::nofib::Backend;
 use system_fj::surface::{compile, SurfaceError};
@@ -568,53 +568,32 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let (optimized, passes_run, size_before, size_after) = if opts.resilient {
-        match optimize_resilient(
-            &lowered.expr,
-            &lowered.data_env,
-            &mut lowered.supply,
-            &opts.config,
-        ) {
-            Ok((e, report)) => {
-                for p in report.rolled_back() {
-                    eprintln!("fj: optimizer: pass `{}` {}", p.pass, p.outcome);
-                }
-                (
-                    e,
-                    report.passes.len(),
-                    report.census_before.size,
-                    report.census_after.size,
-                )
-            }
-            Err(e) => {
-                eprintln!("fj: optimizer: {e}");
-                return ExitCode::from(EXIT_OPT);
-            }
-        }
+    let (expr, env, config) = (&lowered.expr, &lowered.data_env, &opts.config);
+    let optimized = if opts.resilient {
+        optimize_resilient(expr, env, &mut lowered.supply, config)
     } else {
-        match optimize_with_stats(
-            &lowered.expr,
-            &lowered.data_env,
-            &mut lowered.supply,
-            &opts.config,
-        ) {
-            Ok((e, stats)) => (
-                e,
-                stats.passes_run.len(),
-                stats.size_before,
-                stats.size_after,
-            ),
-            Err(e) => {
-                eprintln!("fj: optimizer: {e}");
-                return ExitCode::from(EXIT_OPT);
-            }
+        optimize_with_report(expr, env, &mut lowered.supply, config)
+    };
+    let (optimized, report) = match optimized {
+        Ok(out) => out,
+        Err(e) => {
+            eprintln!("fj: optimizer: {e}");
+            return ExitCode::from(EXIT_OPT);
         }
     };
+    for p in report.rolled_back() {
+        eprintln!("fj: optimizer: pass `{}` {}", p.pass, p.outcome);
+    }
 
     match opts.command.as_str() {
         "dump" => {
-            println!("-- pipeline: {} ({} passes)", opts.config_name, passes_run);
-            println!("-- size: {size_before} -> {size_after}");
+            let (before, after) = (report.census_before.size, report.census_after.size);
+            println!(
+                "-- pipeline: {} ({} passes)",
+                opts.config_name,
+                report.passes.len()
+            );
+            println!("-- size: {before} -> {after}");
             println!("{optimized}");
             ExitCode::SUCCESS
         }

@@ -19,53 +19,39 @@
 //! * the result type of `f`'s body equals the type of the `let` body —
 //!   contification "can fail to occur if some function f is polymorphic
 //!   in its return type".
+//!
+//! The typing proviso is read off `f`'s annotation `∀a⃗. σ⃗ → τ`, with as
+//! many `∀`s and arrows peeled as the right-hand side has type and value
+//! parameters: `τ` must not mention the `a⃗` (and, in a recursive group,
+//! must be the same for every member). A saturated call then has type
+//! `τ` whatever its type arguments, so a tail call in the `let` body
+//! makes `τ` the body's type, and `τ` annotates the new jumps. No type is
+//! reconstructed. A group the `let` body never calls is therefore not a
+//! candidate: it is dead, and the simplifier's `drop` removes it.
 
-use crate::OptError;
-use fj_ast::{
-    mentions_any, occurs_free, Alt, Binder, DataEnv, Expr, JoinBind, JoinDef, LetBind, Name,
-    SpineArg, Type,
-};
-use fj_check::{type_of, Gamma};
+use fj_ast::{mentions_any, Alt, Binder, Expr, JoinBind, JoinDef, LetBind, Name, SpineArg, Type};
 
 /// Run contification over a whole term, bottom-up, converting every
 /// eligible `let` into a `join`.
-///
-/// # Errors
-///
-/// Returns [`OptError::Type`] if type reconstruction fails (ill-typed
-/// input).
-pub fn contify(e: &Expr, data_env: &DataEnv) -> Result<Expr, OptError> {
-    let mut c = Contifier {
-        data_env,
-        gamma: Gamma::new(),
-        converted: 0,
-    };
-    c.go(e)
+pub fn contify(e: &Expr) -> Expr {
+    contify_counting(e).0
 }
 
 /// Like [`contify`], also reporting how many bindings were converted.
-///
-/// # Errors
-///
-/// As [`contify`].
-pub fn contify_counting(e: &Expr, data_env: &DataEnv) -> Result<(Expr, usize), OptError> {
-    let mut c = Contifier {
-        data_env,
-        gamma: Gamma::new(),
-        converted: 0,
-    };
-    let out = c.go(e)?;
-    Ok((out, c.converted))
+pub fn contify_counting(e: &Expr) -> (Expr, usize) {
+    let mut converted = 0;
+    let out = go(e, &mut converted);
+    (out, converted)
 }
 
 /// The η-shape of a candidate: `Λa⃗. λ(x:σ)⃗. u`.
-struct FunShape {
+struct FunShape<'a> {
     ty_params: Vec<Name>,
     params: Vec<Binder>,
-    body: Expr,
+    body: &'a Expr,
 }
 
-fn decompose_fun(rhs: &Expr) -> FunShape {
+fn decompose_fun(rhs: &Expr) -> FunShape<'_> {
     let mut ty_params = Vec::new();
     let mut cur = rhs;
     while let Expr::TyLam(a, b) = cur {
@@ -80,213 +66,144 @@ fn decompose_fun(rhs: &Expr) -> FunShape {
     FunShape {
         ty_params,
         params,
-        body: cur.clone(),
+        body: cur,
     }
 }
 
-struct Contifier<'a> {
-    data_env: &'a DataEnv,
-    /// Γ for every binder seen so far, maintained incrementally (binders
-    /// are globally unique, so the environment only grows and is never
-    /// rebuilt per `ty_of` query).
-    gamma: Gamma,
-    converted: usize,
-}
-
-impl Contifier<'_> {
-    fn record(&mut self, b: &Binder) {
-        self.gamma.bind_var(b.name.clone(), b.ty.clone());
-    }
-
-    fn ty_of(&self, e: &Expr) -> Result<Type, OptError> {
-        type_of(e, self.data_env, &self.gamma).map_err(OptError::Type)
-    }
-
-    fn go(&mut self, e: &Expr) -> Result<Expr, OptError> {
-        crate::guard::poll();
-        match e {
-            Expr::Var(_) | Expr::Lit(_) => Ok(e.clone()),
-            Expr::Prim(op, args) => Ok(Expr::Prim(
-                *op,
-                args.iter().map(|a| self.go(a)).collect::<Result<_, _>>()?,
-            )),
-            Expr::Con(c, tys, args) => Ok(Expr::Con(
-                c.clone(),
-                tys.clone(),
-                args.iter().map(|a| self.go(a)).collect::<Result<_, _>>()?,
-            )),
-            Expr::Lam(b, body) => {
-                self.record(b);
-                Ok(Expr::lam(b.clone(), self.go(body)?))
-            }
-            Expr::TyLam(a, body) => Ok(Expr::ty_lam(a.clone(), self.go(body)?)),
-            Expr::App(f, a) => Ok(Expr::app(self.go(f)?, self.go(a)?)),
-            Expr::TyApp(f, t) => Ok(Expr::ty_app(self.go(f)?, t.clone())),
-            Expr::Case(s, alts) => {
-                let s2 = self.go(s)?;
-                let alts2 = alts
-                    .iter()
-                    .map(|alt| {
-                        for b in &alt.binders {
-                            self.record(b);
-                        }
-                        Ok(Alt {
-                            con: alt.con.clone(),
-                            binders: alt.binders.clone(),
-                            rhs: self.go(&alt.rhs)?,
-                        })
-                    })
-                    .collect::<Result<_, OptError>>()?;
-                Ok(Expr::case(s2, alts2))
-            }
-            Expr::Join(jb, body) => {
-                let mut jb2 = jb.clone();
-                for d in jb2.defs_mut() {
-                    for p in &d.params {
-                        self.record(p);
-                    }
-                    d.body = self.go(&d.body)?;
-                }
-                Ok(Expr::Join(jb2, Expr::share(self.go(body)?)))
-            }
-            Expr::Jump(j, tys, args, res) => Ok(Expr::Jump(
-                j.clone(),
-                tys.clone(),
-                args.iter().map(|a| self.go(a)).collect::<Result<_, _>>()?,
-                res.clone(),
-            )),
-            Expr::Let(bind, body) => {
-                for b in bind.binders() {
-                    self.record(b);
-                }
-                // Children first: inner contifications can expose outer ones.
-                let bind2 = match bind {
-                    LetBind::NonRec(b, rhs) => {
-                        LetBind::NonRec(b.clone(), Expr::share(self.go(rhs)?))
-                    }
-                    LetBind::Rec(binds) => LetBind::Rec(
-                        binds
-                            .iter()
-                            .map(|(b, rhs)| Ok((b.clone(), self.go(rhs)?)))
-                            .collect::<Result<_, OptError>>()?,
-                    ),
-                };
-                let body2 = self.go(body)?;
-                self.try_contify(&bind2, &body2)
-            }
-        }
-    }
-
-    fn try_contify(&mut self, bind: &LetBind, body: &Expr) -> Result<Expr, OptError> {
-        match bind {
-            LetBind::NonRec(b, rhs) => {
-                let shape = decompose_fun(rhs);
-                // Only functions are candidates (a 0-ary "join" would
-                // trade call-by-need sharing for re-evaluation).
-                if shape.params.is_empty() {
-                    return Ok(Expr::Let(bind.clone(), Expr::share(body.clone())));
-                }
-                for p in &shape.params {
-                    self.record(p);
-                }
-                // f must not occur in its own RHS (non-recursive).
-                if occurs_free(&b.name, rhs) {
-                    return Ok(Expr::Let(bind.clone(), Expr::share(body.clone())));
-                }
-                let Some(res_ty) = self.contifiable_result_ty(
-                    &[(b.name.clone(), shape.ty_params.len(), shape.params.len())],
-                    std::slice::from_ref(&shape.body),
-                    body,
-                )?
-                else {
-                    return Ok(Expr::Let(bind.clone(), Expr::share(body.clone())));
-                };
-                let targets = Targets::new(
-                    vec![(b.name.clone(), shape.ty_params.len(), shape.params.len())],
-                    res_ty,
-                );
-                let Some(new_body) = tailify(body, &targets) else {
-                    return Ok(Expr::Let(bind.clone(), Expr::share(body.clone())));
-                };
-                self.converted += 1;
-                let def = JoinDef {
-                    name: b.name.clone(),
-                    ty_params: shape.ty_params,
-                    params: shape.params,
-                    body: shape.body,
-                };
-                Ok(Expr::join1(def, new_body))
-            }
-            LetBind::Rec(binds) => {
-                let shapes: Vec<(Name, FunShape)> = binds
-                    .iter()
-                    .map(|(b, rhs)| (b.name.clone(), decompose_fun(rhs)))
-                    .collect();
-                if shapes.iter().any(|(_, s)| s.params.is_empty()) {
-                    return Ok(Expr::Let(bind.clone(), Expr::share(body.clone())));
-                }
-                for (_, s) in &shapes {
-                    for p in &s.params {
-                        self.record(p);
-                    }
-                }
-                let arities: Vec<(Name, usize, usize)> = shapes
-                    .iter()
-                    .map(|(n, s)| (n.clone(), s.ty_params.len(), s.params.len()))
-                    .collect();
-                let rhs_bodies: Vec<Expr> = shapes.iter().map(|(_, s)| s.body.clone()).collect();
-                let Some(res_ty) = self.contifiable_result_ty(&arities, &rhs_bodies, body)? else {
-                    return Ok(Expr::Let(bind.clone(), Expr::share(body.clone())));
-                };
-                let targets = Targets::new(arities, res_ty);
-                // Every RHS body and the let body must tailify.
-                let mut new_defs = Vec::with_capacity(shapes.len());
-                for (name, shape) in shapes {
-                    let Some(new_rhs_body) = tailify(&shape.body, &targets) else {
-                        return Ok(Expr::Let(bind.clone(), Expr::share(body.clone())));
-                    };
-                    new_defs.push(JoinDef {
-                        name,
-                        ty_params: shape.ty_params,
-                        params: shape.params,
-                        body: new_rhs_body,
-                    });
-                }
-                let Some(new_body) = tailify(body, &targets) else {
-                    return Ok(Expr::Let(bind.clone(), Expr::share(body.clone())));
-                };
-                self.converted += 1;
-                Ok(Expr::Join(JoinBind::Rec(new_defs), Expr::share(new_body)))
-            }
-        }
-    }
-
-    /// The Fig. 5 typing proviso: each candidate's body type must equal the
-    /// `let` body's type (else the function is "polymorphic in its return
-    /// type" relative to the context and cannot be a join point). Returns
-    /// the shared result type, or `None` if the condition fails.
-    ///
-    /// Candidates with polymorphic parameters are typed with their own
-    /// type variables in scope; `type_of` is lenient about those.
-    fn contifiable_result_ty(
-        &mut self,
-        arities: &[(Name, usize, usize)],
-        rhs_bodies: &[Expr],
-        body: &Expr,
-    ) -> Result<Option<Type>, OptError> {
-        let _ = arities;
-        let body_ty = match self.ty_of(body) {
-            Ok(t) => t,
-            Err(_) => return Ok(None),
+/// The Fig. 5 typing proviso for one candidate: peel `n_ty` `∀`s and
+/// `n_val` arrows off its annotation, and return what is left if it
+/// mentions none of the peeled type variables.
+fn result_ty(ty: &Type, n_ty: usize, n_val: usize) -> Option<&Type> {
+    let mut peeled = Vec::with_capacity(n_ty);
+    let mut t = ty;
+    for _ in 0..n_ty {
+        let Type::Forall(a, body) = t else {
+            return None;
         };
-        for rhs_body in rhs_bodies {
-            match self.ty_of(rhs_body) {
-                Ok(t) if t.alpha_eq(&body_ty) => {}
-                _ => return Ok(None),
+        peeled.push(a);
+        t = body;
+    }
+    for _ in 0..n_val {
+        let Type::Fun(_, res) = t else { return None };
+        t = res;
+    }
+    let fvs = t.free_vars();
+    (!peeled.iter().any(|a| fvs.contains(a))).then_some(t)
+}
+
+fn go(e: &Expr, converted: &mut usize) -> Expr {
+    crate::guard::poll();
+    let mut sub = |e: &Expr| go(e, converted);
+    match e {
+        Expr::Var(_) | Expr::Lit(_) => e.clone(),
+        Expr::Prim(op, args) => Expr::Prim(*op, args.iter().map(&mut sub).collect()),
+        Expr::Con(c, tys, args) => {
+            Expr::Con(c.clone(), tys.clone(), args.iter().map(&mut sub).collect())
+        }
+        Expr::Lam(b, body) => Expr::lam(b.clone(), sub(body)),
+        Expr::TyLam(a, body) => Expr::ty_lam(a.clone(), sub(body)),
+        Expr::App(f, a) => Expr::app(sub(f), sub(a)),
+        Expr::TyApp(f, t) => Expr::ty_app(sub(f), t.clone()),
+        Expr::Case(s, alts) => {
+            let s2 = sub(s);
+            let alts2 = alts
+                .iter()
+                .map(|alt| Alt {
+                    con: alt.con.clone(),
+                    binders: alt.binders.clone(),
+                    rhs: sub(&alt.rhs),
+                })
+                .collect();
+            Expr::case(s2, alts2)
+        }
+        Expr::Join(jb, body) => {
+            let mut jb2 = jb.clone();
+            for d in jb2.defs_mut() {
+                d.body = sub(&d.body);
+            }
+            Expr::Join(jb2, Expr::share(sub(body)))
+        }
+        Expr::Jump(j, tys, args, res) => Expr::Jump(
+            j.clone(),
+            tys.clone(),
+            args.iter().map(&mut sub).collect(),
+            res.clone(),
+        ),
+        Expr::Let(bind, body) => {
+            // Children first: inner contifications can expose outer ones.
+            let bind2 = match bind {
+                LetBind::NonRec(b, rhs) => LetBind::NonRec(b.clone(), Expr::share(sub(rhs))),
+                LetBind::Rec(binds) => {
+                    LetBind::Rec(binds.iter().map(|(b, rhs)| (b.clone(), sub(rhs))).collect())
+                }
+            };
+            let body2 = sub(body);
+            match try_contify(&bind2, &body2) {
+                Some(joined) => {
+                    *converted += 1;
+                    joined
+                }
+                None => Expr::Let(bind2, Expr::share(body2)),
             }
         }
-        Ok(Some(body_ty))
     }
+}
+
+/// The `join` that `let bind in body` becomes, or `None` if the group is
+/// not a candidate. Shape and annotation are checked before any walk.
+fn try_contify(bind: &LetBind, body: &Expr) -> Option<Expr> {
+    let shapes: Vec<(&Binder, FunShape)> = bind
+        .pairs()
+        .into_iter()
+        .map(|(b, rhs)| (b, decompose_fun(rhs)))
+        .collect();
+    // Only functions are candidates (a 0-ary "join" would trade
+    // call-by-need sharing for re-evaluation).
+    if shapes.iter().any(|(_, s)| s.params.is_empty()) {
+        return None;
+    }
+    let mut res_ty: Option<&Type> = None;
+    for (b, s) in &shapes {
+        let t = result_ty(&b.ty, s.ty_params.len(), s.params.len())?;
+        if res_ty.is_some_and(|r| !r.alpha_eq(t)) {
+            return None;
+        }
+        res_ty = Some(t);
+    }
+    let targets = Targets::new(
+        shapes
+            .iter()
+            .map(|(b, s)| (b.name.clone(), s.ty_params.len(), s.params.len()))
+            .collect(),
+        res_ty?.clone(),
+    );
+    // Without a call in the body nothing ties `τ` to the body's type.
+    if !targets.mentions(body) {
+        return None;
+    }
+    let new_body = tailify(body, &targets)?;
+    let mut defs = Vec::with_capacity(shapes.len());
+    for (b, s) in shapes {
+        // A recursive group's right-hand sides must tailify too; a
+        // non-recursive `f` must not occur in its own.
+        let def_body = if bind.is_rec() {
+            tailify(s.body, &targets)?
+        } else if targets.mentions(s.body) {
+            return None;
+        } else {
+            s.body.clone()
+        };
+        defs.push(JoinDef {
+            name: b.name.clone(),
+            ty_params: s.ty_params,
+            params: s.params,
+            body: def_body,
+        });
+    }
+    Some(match bind {
+        LetBind::NonRec(..) => Expr::join1(defs.pop()?, new_body),
+        LetBind::Rec(_) => Expr::Join(JoinBind::Rec(defs), Expr::share(new_body)),
+    })
 }
 
 struct Targets {

@@ -245,8 +245,8 @@ pub fn optimize(
 ///
 /// # Errors
 ///
-/// Returns [`OptError`] when the pass itself fails (e.g. contification on
-/// an ill-typed term).
+/// Returns [`OptError`] when the pass itself fails (e.g. the simplifier
+/// on an ill-typed term).
 pub fn apply_pass(
     e: &Expr,
     data_env: &DataEnv,
@@ -258,7 +258,7 @@ pub fn apply_pass(
     let (out, changed) = match pass {
         Pass::Simplify => simplify_once_changed(e, data_env, supply, simpl, &mut rw)?,
         Pass::Contify => {
-            let (out, n) = contify_counting(e, data_env)?;
+            let (out, n) = contify_counting(e);
             rw.contified = n as u64;
             (out, n > 0)
         }

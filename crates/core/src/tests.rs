@@ -219,7 +219,7 @@ fn find_any_contifies_and_fuses() {
     let program = d.case_maybe(Type::Int, find, Expr::bool(false), |_, _| Expr::bool(true));
 
     // Contification alone converts go.
-    let (contified, n) = contify_counting(&program, &d.data_env).unwrap();
+    let (contified, n) = contify_counting(&program);
     assert_eq!(n, 1, "go must contify:\n{contified}");
     assert!(lint(&contified, &d.data_env).is_ok());
 
@@ -257,7 +257,7 @@ fn non_tail_call_not_contified() {
             Expr::app(Expr::var(&f.name), Expr::Lit(1)),
         ),
     );
-    let (out, n) = contify_counting(&e, &d.data_env).unwrap();
+    let (out, n) = contify_counting(&e);
     assert_eq!(n, 0, "must not contify:\n{out}");
 }
 
@@ -279,8 +279,158 @@ fn return_type_mismatch_not_contified() {
             Expr::Lit(0),
         ),
     );
-    let (_, n) = contify_counting(&e, &d.data_env).unwrap();
+    let (_, n) = contify_counting(&e);
     assert_eq!(n, 0);
+}
+
+/// Jumps to `label` anywhere in `e`.
+fn jumps_to(e: &Expr, label: &Binder) -> usize {
+    let mut n = 0;
+    e.walk(&mut |e| {
+        if matches!(e, Expr::Jump(j, ..) if *j == label.name) {
+            n += 1;
+        }
+    });
+    n
+}
+
+/// The typing proviso alone: `f : ∀a. a → a` is tail-called, saturated,
+/// in an `Int` context, but its result type mentions its own type
+/// parameter, so it stays a `let`.
+#[test]
+fn polymorphic_result_type_not_contified() {
+    let mut d = Dsl::new();
+    let a = d.name("a");
+    let f = d.binder(
+        "f",
+        Type::forall(
+            a.clone(),
+            Type::fun(Type::Var(a.clone()), Type::Var(a.clone())),
+        ),
+    );
+    let x = d.binder("x", Type::Var(a.clone()));
+    // let f = Λa. λx:a. x in f @Int 5
+    let e = Expr::let1(
+        f.clone(),
+        Expr::ty_lam(a, Expr::lam(x.clone(), Expr::var(&x.name))),
+        Expr::app(Expr::ty_app(Expr::var(&f.name), Type::Int), Expr::Lit(5)),
+    );
+    lint(&e, &d.data_env).unwrap();
+    let (out, n) = contify_counting(&e);
+    assert_eq!(n, 0, "must not contify:\n{out}");
+    assert!(matches!(out, Expr::Let(..)), "got:\n{out}");
+}
+
+/// A polymorphic function whose result type does not mention its type
+/// parameter contifies, whatever the type arguments of its calls.
+#[test]
+fn polymorphic_argument_contifies() {
+    let mut d = Dsl::new();
+    let a = d.name("a");
+    let f = d.binder(
+        "f",
+        Type::forall(a.clone(), Type::fun(Type::Var(a.clone()), Type::Int)),
+    );
+    let x = d.binder("x", Type::Var(a.clone()));
+    // let f = Λa. λx:a. 7 in if True then f @Int 5 else f @Bool False
+    let e = Expr::let1(
+        f.clone(),
+        Expr::ty_lam(a, Expr::lam(x, Expr::Lit(7))),
+        Expr::ite(
+            Expr::bool(true),
+            Expr::app(Expr::ty_app(Expr::var(&f.name), Type::Int), Expr::Lit(5)),
+            Expr::app(
+                Expr::ty_app(Expr::var(&f.name), Type::bool()),
+                Expr::bool(false),
+            ),
+        ),
+    );
+    lint(&e, &d.data_env).unwrap();
+    let (out, n) = contify_counting(&e);
+    assert_eq!(n, 1, "f must contify:\n{out}");
+    assert!(matches!(out, Expr::Join(..)), "got:\n{out}");
+    assert_eq!(jumps_to(&out, &f), 2, "both calls become jumps:\n{out}");
+    lint(&out, &d.data_env).unwrap();
+    assert_eq!(run_int(&out, EvalMode::CallByValue, FUEL).unwrap(), 7);
+}
+
+/// A recursive group with a type parameter and a polymorphic self tail
+/// call becomes a recursive join point.
+#[test]
+fn polymorphic_letrec_contifies() {
+    let mut d = Dsl::new();
+    let a = d.name("a");
+    let go = d.binder(
+        "go",
+        Type::forall(
+            a.clone(),
+            Type::funs([Type::Var(a.clone()), Type::Int], Type::Int),
+        ),
+    );
+    let x = d.binder("x", Type::Var(a.clone()));
+    let k = d.binder("k", Type::Int);
+    // let rec go = Λa. λx:a. λk:Int.
+    //                if k <= 0 then k else go @Int k (k - 1)
+    // in go @Bool True 10
+    let rhs = Expr::ty_lam(
+        a,
+        Expr::lams(
+            [x, k.clone()],
+            Expr::ite(
+                Expr::prim2(PrimOp::Le, Expr::var(&k.name), Expr::Lit(0)),
+                Expr::var(&k.name),
+                Expr::apps(
+                    Expr::ty_app(Expr::var(&go.name), Type::Int),
+                    [
+                        Expr::var(&k.name),
+                        Expr::prim2(PrimOp::Sub, Expr::var(&k.name), Expr::Lit(1)),
+                    ],
+                ),
+            ),
+        ),
+    );
+    let e = Expr::letrec(
+        vec![(go.clone(), rhs)],
+        Expr::apps(
+            Expr::ty_app(Expr::var(&go.name), Type::bool()),
+            [Expr::bool(true), Expr::Lit(10)],
+        ),
+    );
+    lint(&e, &d.data_env).unwrap();
+    let (out, n) = contify_counting(&e);
+    assert_eq!(n, 1, "go must contify:\n{out}");
+    assert!(
+        matches!(&out, Expr::Join(jb, _) if jb.is_rec()),
+        "got:\n{out}"
+    );
+    assert_eq!(jumps_to(&out, &go), 2, "both calls become jumps:\n{out}");
+    lint(&out, &d.data_env).unwrap();
+    assert_eq!(run_int(&out, EvalMode::CallByValue, FUEL).unwrap(), 0);
+}
+
+/// A function the `let` body never calls is not a candidate: without a
+/// call, nothing ties its result type to the body's, so it is left for
+/// the simplifier's `drop`. The effect is observable only in pipelines
+/// with no later simplify pass (`OptConfig::none()` and
+/// `OptConfig::join_points_without(Pass::Simplify)`): there such a
+/// binding keeps one `let` allocation if it is evaluated.
+#[test]
+fn dead_function_stays_let() {
+    let mut d = Dsl::new();
+    let unused = d.binder("unused", Type::fun(Type::Int, Type::Int));
+    let x = d.binder("x", Type::Int);
+    // let unused = λx. x + 1 in 42
+    let e = Expr::let1(
+        unused,
+        Expr::lam(
+            x.clone(),
+            Expr::prim2(PrimOp::Add, Expr::var(&x.name), Expr::Lit(1)),
+        ),
+        Expr::Lit(42),
+    );
+    let (out, n) = contify_counting(&e);
+    assert_eq!(n, 0, "dead binding must not contify:\n{out}");
+    assert!(matches!(out, Expr::Let(..)), "got:\n{out}");
 }
 
 /// The Moby staging (Sec. 4): Float In + contify + simplify achieves the
@@ -519,7 +669,7 @@ fn contify_simple_tail_function() {
             Expr::app(Expr::var(&f.name), Expr::Lit(2)),
         ),
     );
-    let out = contify(&e, &d.data_env).unwrap();
+    let out = contify(&e);
     assert!(matches!(out, Expr::Join(..)), "got:\n{out}");
     lint(&out, &d.data_env).unwrap();
     assert_eq!(run_int(&out, EvalMode::CallByName, FUEL).unwrap(), 2);

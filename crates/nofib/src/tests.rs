@@ -6,11 +6,48 @@ use crate::{
 };
 use fj_core::OptConfig;
 
-/// Every program runs and both pipelines agree — the fundamental
-/// soundness check for the whole suite.
+/// EXPERIMENTS.md's T1 table: `(program, baseline allocs, join-points
+/// allocs)` for every program in the suite.
+const TABLE1: &[(&str, u64, u64)] = &[
+    ("fibheaps", 965, 965),
+    ("ida", 23, 23),
+    ("nucleic2", 241, 241),
+    ("para", 193, 121),
+    ("primetest", 399, 200),
+    ("simple", 31, 31),
+    ("solid", 307, 81),
+    ("sphere", 258, 61),
+    ("transform", 770, 770),
+    ("boyer", 359, 359),
+    ("clausify", 691, 691),
+    ("knights", 2710, 302),
+    ("mandel", 327, 121),
+    ("queens", 1047, 153),
+    ("anna", 0, 0),
+    ("cacheprof", 0, 0),
+    ("fem", 201, 201),
+    ("gamteb", 76, 26),
+    ("hpg", 102, 102),
+    ("parser", 451, 151),
+    ("rsa", 41, 41),
+    ("compress", 222, 172),
+    ("grep", 428, 146),
+    ("infer", 748, 748),
+    ("k-nucleotide", 605, 155),
+    ("n-body", 287, 0),
+    ("spectral-norm", 0, 0),
+    ("binary-trees", 261, 261),
+    ("fannkuch-redux", 385, 343),
+];
+
+/// Every program runs, both pipelines agree, and each program's
+/// allocations match Table 1 exactly — so an optimizer change that gains
+/// or loses a conversion fails here, not only in a benchmark total.
 #[test]
 fn all_programs_agree_across_pipelines() {
-    for p in programs() {
+    let progs = programs();
+    assert_eq!(progs.len(), TABLE1.len(), "every program has a T1 row");
+    for p in progs {
         let row = run_program(&p);
         // Join points never allocate more in our suite.
         assert!(
@@ -19,6 +56,16 @@ fn all_programs_agree_across_pipelines() {
             p.name,
             row.joined.total_allocs(),
             row.baseline.total_allocs()
+        );
+        let &(_, base, joins) = TABLE1
+            .iter()
+            .find(|(name, _, _)| *name == p.name)
+            .unwrap_or_else(|| panic!("{}: no T1 row", p.name));
+        assert_eq!(
+            (row.baseline.total_allocs(), row.joined.total_allocs()),
+            (base, joins),
+            "{}: (baseline, joins) allocations differ from Table 1",
+            p.name
         );
     }
 }

@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("--- input: any = case find of ... ---\n{program}\n");
 
     // Step 1: contification alone.
-    let (contified, n) = contify_counting(&program, &d.data_env)?;
+    let (contified, n) = contify_counting(&program);
     println!("--- after contification ({n} binding(s) became joins) ---\n{contified}\n");
 
     // Step 2: the full pipeline (contify + jfloat + simplify).

@@ -497,12 +497,11 @@ mod tests {
         assert!(!alpha_eq(&e1, &e2));
     }
 
-    /// The exact shape `fj serve` introduces: a term is built (and its
-    /// `Ident`s interned) on one thread, then compared, fingerprinted, and
-    /// substituted into on another. Every `Ident` crossing the boundary
-    /// misses the pointer fast path, so this pins the text-comparison
-    /// fallback end to end: alpha-equivalence, fingerprints, and
-    /// substitution must all be thread-blind.
+    /// The exact shape `fj serve` introduces: a term is built on one
+    /// thread, then compared, fingerprinted, and substituted into on
+    /// another, where every `Ident` has its own allocation. This pins
+    /// comparison by spelling end to end: alpha-equivalence,
+    /// fingerprints, and substitution must all be thread-blind.
     #[test]
     fn alpha_and_subst_are_thread_blind() {
         use crate::expr::PrimOp;
@@ -555,8 +554,8 @@ mod tests {
             "alpha_fingerprint differs across threads"
         );
         // Substitute into the remote-built term on this thread: binder
-        // handling (freshening included) must not depend on which
-        // interner minted the names.
+        // handling (freshening included) must not depend on which thread
+        // minted the names.
         let mut s = NameSupply::starting_at(200_000);
         let free = Name::with_id("free", 150_000);
         let body = Expr::app(remote, Expr::var(&free));

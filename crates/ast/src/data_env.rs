@@ -460,8 +460,9 @@ mod tests {
             DataEnv::prelude().fingerprint(),
             "fingerprint must be deterministic"
         );
-        // Same declarations built on another thread (fresh interner):
-        // the fingerprint is content-addressed, not pointer-addressed.
+        // Same declarations built on another thread (separate
+        // allocations): the fingerprint is content-addressed, not
+        // pointer-addressed.
         let remote_fp = std::thread::spawn(|| DataEnv::prelude().fingerprint())
             .join()
             .unwrap();

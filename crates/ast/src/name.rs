@@ -6,42 +6,8 @@
 //! are equal — the text exists only for printing. Transformations that need
 //! fresh binders draw them from a [`NameSupply`].
 
-use std::cell::RefCell;
-use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
-
-thread_local! {
-    /// Per-thread string interner shared by [`Name`] base texts and
-    /// [`Ident`] spellings. Repeated spellings ("x", "True", "go", …)
-    /// share one allocation instead of copying the bytes at every
-    /// construction site, and shared pointers give [`Ident`] equality a
-    /// pointer fast path.
-    ///
-    /// The interner is **per thread**, so two `Ident`s with the same
-    /// spelling share an allocation only when created on the same thread.
-    /// Terms routinely cross threads (the `par_map` batch driver, guard
-    /// worker threads, `fj serve` request handlers), so *nothing may rely
-    /// on pointer identity for correctness*: `Ident` equality uses
-    /// `Arc::ptr_eq` strictly as a fast path and always falls back to a
-    /// text comparison, and `Hash` hashes the spelling, never the pointer.
-    /// The cross-thread tests below pin this guarantee.
-    static INTERN: RefCell<HashSet<Arc<str>>> = RefCell::new(HashSet::new());
-}
-
-fn intern(text: &str) -> Arc<str> {
-    INTERN.with(|table| {
-        let mut table = table.borrow_mut();
-        match table.get(text) {
-            Some(shared) => Arc::clone(shared),
-            None => {
-                let shared: Arc<str> = Arc::from(text);
-                table.insert(Arc::clone(&shared));
-                shared
-            }
-        }
-    })
-}
 
 /// A term variable, type variable, or join-point label.
 ///
@@ -66,7 +32,7 @@ impl Name {
     /// this constructor exists for deterministic prelude/builtin names.
     pub fn with_id(text: &str, id: u64) -> Self {
         Name {
-            text: intern(text),
+            text: Arc::from(text),
             id,
         }
     }
@@ -149,7 +115,7 @@ impl NameSupply {
         let id = self.next;
         self.next += 1;
         Name {
-            text: intern(text),
+            text: Arc::from(text),
             id,
         }
     }
@@ -196,44 +162,18 @@ impl Default for NameSupply {
 ///
 /// Unlike [`Name`]s these are never α-renamed; they are keys into the
 /// [`DataEnv`](crate::DataEnv).
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Ident(Arc<str>);
 
 impl Ident {
-    /// Create an identifier from its spelling. Spellings are interned, so
-    /// repeated construction is allocation-free and equality between
-    /// interned identifiers is a pointer comparison.
+    /// Create an identifier from its spelling.
     pub fn new(text: &str) -> Self {
-        Ident(intern(text))
+        Ident(Arc::from(text))
     }
 
     /// The spelling.
     pub fn as_str(&self) -> &str {
         &self.0
-    }
-}
-
-impl PartialEq for Ident {
-    fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0) || self.0 == other.0
-    }
-}
-impl Eq for Ident {}
-
-impl std::hash::Hash for Ident {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.0.hash(state);
-    }
-}
-
-impl PartialOrd for Ident {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Ident {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.cmp(&other.0)
     }
 }
 
@@ -290,11 +230,9 @@ mod tests {
         assert_ne!(x, y);
     }
 
+    /// `fresh_like` aliases its source's text instead of copying it.
     #[test]
     fn interning_shares_storage() {
-        let a = Ident::new("Just");
-        let b = Ident::new("Just");
-        assert!(Arc::ptr_eq(&a.0, &b.0));
         let mut s = NameSupply::new();
         let x = s.fresh("loop");
         let y = s.fresh_like(&x);
@@ -316,9 +254,8 @@ mod tests {
         assert_send_sync::<Ident>();
     }
 
-    /// An `Ident` minted on another thread comes from a different
-    /// interner instance, so the pointer fast path misses; equality and
-    /// hashing must still agree with a same-thread `Ident`.
+    /// An `Ident` minted on another thread has its own allocation, so
+    /// equality and hashing must go by spelling.
     #[test]
     fn ident_equality_and_hashing_cross_thread() {
         let remote: Vec<Ident> =
@@ -326,7 +263,7 @@ mod tests {
                 .join()
                 .unwrap();
         let local = Ident::new("Just");
-        // Different interners: no shared allocation…
+        // No shared allocation…
         assert!(!Arc::ptr_eq(&remote[0].0, &local.0));
         // …but equality, ordering, and hash-based lookup are unaffected.
         assert_eq!(remote[0], local);
@@ -339,18 +276,17 @@ mod tests {
         assert_eq!(table.get(&remote[1]), None);
     }
 
-    /// `Name` equality is by unique id; the interned text is display-only.
-    /// A name that crosses a thread boundary must keep behaving as the
-    /// same binder even though its text `Arc` has no twin in the new
-    /// thread's interner.
+    /// `Name` equality is by unique id; the text is display-only. A name
+    /// that crosses a thread boundary, or is rebuilt there from its id,
+    /// must keep behaving as the same binder.
     #[test]
     fn name_identity_survives_thread_crossing() {
         let mut s = NameSupply::new();
         let x = s.fresh("x");
         let sent = x.clone();
         let back = std::thread::spawn(move || {
-            // Rebuild a same-id name on the remote thread (fresh interner)
-            // and hand both home.
+            // Rebuild a same-id name on the remote thread and hand both
+            // home.
             (sent.clone(), Name::with_id("x", sent.id()))
         })
         .join()

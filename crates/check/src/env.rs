@@ -11,7 +11,7 @@ use fj_ast::{FxHashMap, Name, Type};
 /// The Γ environment: term variables with their types, and the type
 /// variables currently in scope.
 #[derive(Clone, Debug, Default)]
-pub struct Gamma {
+pub(crate) struct Gamma {
     vars: FxHashMap<Name, Type>,
     tyvars: FxHashMap<Name, ()>,
 }
@@ -41,22 +41,12 @@ impl Gamma {
     pub fn has_tyvar(&self, a: &Name) -> bool {
         self.tyvars.contains_key(a)
     }
-
-    /// Number of term variables (diagnostics).
-    pub fn len(&self) -> usize {
-        self.vars.len()
-    }
-
-    /// Is Γ empty?
-    pub fn is_empty(&self) -> bool {
-        self.vars.is_empty() && self.tyvars.is_empty()
-    }
 }
 
 /// The signature of a join point in Δ: its type parameters and the types of
 /// its value parameters (expressed over those type parameters).
 #[derive(Clone, Debug)]
-pub struct JoinSig {
+pub(crate) struct JoinSig {
     /// Bound type parameters `a⃗`.
     pub ty_params: Vec<Name>,
     /// Value parameter types `σ⃗`.
@@ -68,7 +58,7 @@ pub struct JoinSig {
 /// Cloning is cheap-ish (small maps); the checker clones at the few rules
 /// that extend Δ and simply passes [`Delta::empty`] where the paper resets.
 #[derive(Clone, Debug, Default)]
-pub struct Delta {
+pub(crate) struct Delta {
     labels: FxHashMap<Name, JoinSig>,
 }
 
@@ -87,11 +77,6 @@ impl Delta {
     pub fn get(&self, j: &Name) -> Option<&JoinSig> {
         self.labels.get(j)
     }
-
-    /// Is Δ empty?
-    pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -104,10 +89,9 @@ mod tests {
         let mut s = NameSupply::new();
         let x = s.fresh("x");
         let mut g = Gamma::new();
-        assert!(g.is_empty());
+        assert_eq!(g.var(&x), None);
         g.bind_var(x.clone(), Type::Int);
         assert_eq!(g.var(&x), Some(&Type::Int));
-        assert_eq!(g.len(), 1);
     }
 
     #[test]
@@ -115,7 +99,7 @@ mod tests {
         let mut s = NameSupply::new();
         let j = s.fresh("j");
         let mut d = Delta::empty();
-        assert!(d.is_empty());
+        assert!(d.get(&j).is_none());
         d.bind(
             j.clone(),
             JoinSig {

@@ -10,7 +10,10 @@
 //! The crate plays the role of GHC's *Core Lint* (paper Sec. 7): it is run
 //! between optimizer passes in this repository's test suite, so a pass that
 //! destroys a join point (the failure mode motivating the whole paper)
-//! fails loudly instead of silently de-optimizing.
+//! fails loudly instead of silently de-optimizing. [`lint`] is the only
+//! checker. Passes that need the type of a subterm mid-rewrite call
+//! [`type_of`], which checks nothing: every binder and every jump carries
+//! its type, so a well-typed term's type can be read off its tail spine.
 //!
 //! ## Example
 //!
@@ -36,13 +39,13 @@
 mod env;
 mod lint;
 
-pub use env::{Delta, Gamma, JoinSig};
-pub use lint::{lint, lint_open, type_of, LintError, LintErrorKind};
+pub use lint::{lint, type_of, LintError, LintErrorKind};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use fj_ast::{Alt, AltCon, Binder, DataEnv, Dsl, Expr, Ident, JoinDef, PrimOp, Type};
+    use std::collections::HashMap;
 
     fn ok(e: &Expr, env: &DataEnv) -> Type {
         match lint(e, env) {
@@ -440,27 +443,86 @@ mod tests {
         assert_eq!(ok(&e, &d.data_env), Type::Int);
     }
 
-    /// Lenient `type_of` accepts jumps to out-of-fragment labels.
+    /// `type_of` accepts jumps to out-of-fragment labels: a jump's type is
+    /// its annotation.
     #[test]
     fn type_of_is_lenient_about_labels() {
         let mut d = Dsl::new();
         let j = d.name("j");
         let e = Expr::jump(&j, vec![], vec![Expr::Lit(1)], Type::bool());
         assert!(lint(&e, &d.data_env).is_err());
-        let t = type_of(&e, &d.data_env, &Gamma::new()).unwrap();
+        let t = type_of(&e, &d.data_env, &HashMap::new()).unwrap();
         assert_eq!(t, Type::bool());
     }
 
-    /// Unbound variables are still errors even leniently.
+    /// A variable on the spine must be spine-bound or in the lookup.
     #[test]
     fn type_of_still_requires_vars() {
         let mut d = Dsl::new();
         let x = d.name("x");
         let e = Expr::var(&x);
-        assert!(type_of(&e, &d.data_env, &Gamma::new()).is_err());
-        let mut g = Gamma::new();
-        g.bind_var(x, Type::Int);
-        assert_eq!(type_of(&e, &d.data_env, &g).unwrap(), Type::Int);
+        assert!(type_of(&e, &d.data_env, &HashMap::new()).is_err());
+        let types = HashMap::from([(x, Type::Int)]);
+        assert_eq!(type_of(&e, &d.data_env, &types).unwrap(), Type::Int);
+    }
+
+    /// Arguments, constructor fields and every `case` alternative but the
+    /// first are off the spine: `type_of` never looks at them, so an
+    /// unknown variable or an ill-typed term there does not matter.
+    #[test]
+    fn type_of_never_visits_off_spine_subterms() {
+        let mut d = Dsl::new();
+        let none = HashMap::new();
+        let x = d.binder("x", Type::Int);
+        let y = d.name("y");
+        let app = Expr::app(Expr::lam(x.clone(), Expr::var(&x.name)), Expr::var(&y));
+        assert_eq!(type_of(&app, &d.data_env, &none).unwrap(), Type::Int);
+        let just = d.just(Type::Int, Expr::var(&y));
+        assert_eq!(
+            type_of(&just, &d.data_env, &none).unwrap(),
+            d.maybe_ty(Type::Int)
+        );
+        let case = Expr::case(
+            Expr::bool(true),
+            vec![
+                Alt::simple(AltCon::Con(Ident::new("True")), Expr::Lit(1)),
+                Alt::simple(
+                    AltCon::Con(Ident::new("False")),
+                    Expr::app(Expr::Lit(1), Expr::Lit(2)),
+                ),
+            ],
+        );
+        assert_eq!(type_of(&case, &d.data_env, &none).unwrap(), Type::Int);
+    }
+
+    /// Binders crossed on the spine type their own variables, with no help
+    /// from the lookup.
+    #[test]
+    fn type_of_spine_binders_type_their_variables() {
+        let mut d = Dsl::new();
+        let none = HashMap::new();
+        let z = d.binder("z", Type::Int);
+        let let_z = Expr::let1(z.clone(), Expr::Lit(1), Expr::var(&z.name));
+        assert_eq!(type_of(&let_z, &d.data_env, &none).unwrap(), Type::Int);
+        let x = d.binder("x", Type::Int);
+        let id = Expr::lam(x.clone(), Expr::var(&x.name));
+        assert_eq!(
+            type_of(&id, &d.data_env, &none).unwrap(),
+            Type::fun(Type::Int, Type::Int)
+        );
+        let xs = d.name("xs");
+        let h = d.binder("h", Type::Int);
+        let t = d.binder("t", d.list_ty(Type::Int));
+        let head = Expr::case(
+            Expr::var(&xs),
+            vec![Alt {
+                con: AltCon::Con(Ident::new("Cons")),
+                binders: vec![h.clone(), t],
+                rhs: Expr::var(&h.name),
+            }],
+        );
+        let types = HashMap::from([(xs, d.list_ty(Type::Int))]);
+        assert_eq!(type_of(&head, &d.data_env, &types).unwrap(), Type::Int);
     }
 
     /// The error path breadcrumbs name the binders on the way to the

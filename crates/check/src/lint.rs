@@ -7,9 +7,10 @@
 //! by letting a jump escape into a lambda or an argument — fails here.
 
 use crate::env::{Delta, Gamma, JoinSig};
-use fj_ast::{AltCon, DataEnv, Expr, Ident, JoinBind, LetBind, Name, PrimOp, Type};
-use std::collections::HashSet;
+use fj_ast::{AltCon, Binder, DataEnv, Expr, Ident, JoinBind, LetBind, Name, PrimOp, Type};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::BuildHasher;
 
 /// Why a term failed to lint.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -200,52 +201,90 @@ fn at(label: impl Into<String>, r: Result<Type, LintError>) -> Result<Type, Lint
 ///
 /// Returns the first [`LintError`] encountered, with a path to the site.
 pub fn lint(e: &Expr, data_env: &DataEnv) -> Result<Type, LintError> {
-    lint_open(e, data_env, &Gamma::new())
+    Checker { data_env }.infer(e, &Gamma::new(), &Delta::empty())
 }
 
-/// Type-check a term with free variables described by `gamma`.
+/// The type of a term assumed well-typed, read off its annotations.
+///
+/// System F_J is explicitly typed, so a term's type is fixed by its tail
+/// spine: each binder's body, the first `case` alternative and the
+/// function of each application, down to a variable, a literal, a primop,
+/// a constructor (its datatype) or a jump (its annotation). Nothing off
+/// the spine is visited and nothing is checked; [`lint`] is the checker.
+/// Binders crossed on the spine type their own variables, and `types`
+/// types every other variable.
 ///
 /// # Errors
 ///
-/// Returns the first [`LintError`] encountered.
-pub fn lint_open(e: &Expr, data_env: &DataEnv, gamma: &Gamma) -> Result<Type, LintError> {
-    let checker = Checker {
-        data_env,
-        strict: true,
-    };
-    checker.infer(e, gamma, &Delta::empty())
-}
-
-/// Compute the type of a term that is *assumed* well-typed, leniently:
-/// unlike [`lint_open`], jumps to labels bound outside the fragment are
-/// allowed (a jump's type is its annotation regardless), free type
-/// variables in annotations are accepted, and exhaustiveness is not
-/// enforced. The optimizer uses this to type subterms mid-rewrite.
-///
-/// # Errors
-///
-/// Returns a [`LintError`] if the fragment is structurally ill-typed
-/// (e.g. applying a non-function).
-pub fn type_of(e: &Expr, data_env: &DataEnv, gamma: &Gamma) -> Result<Type, LintError> {
-    let checker = Checker {
-        data_env,
-        strict: false,
-    };
-    checker.infer(e, gamma, &Delta::empty())
+/// Returns a [`LintError`] when the spine itself cannot be typed: a
+/// variable that is neither spine-bound nor in `types`, an unknown
+/// constructor, an empty `case`, or an application whose function type
+/// has the wrong shape.
+pub fn type_of<S: BuildHasher>(
+    e: &Expr,
+    data_env: &DataEnv,
+    types: &HashMap<Name, Type, S>,
+) -> Result<Type, LintError> {
+    fn spine<'e, S: BuildHasher>(
+        e: &'e Expr,
+        data_env: &DataEnv,
+        types: &HashMap<Name, Type, S>,
+        bound: &mut Vec<&'e Binder>,
+    ) -> Result<Type, LintError> {
+        let go = |e: &'e Expr, bound: &mut Vec<&'e Binder>| spine(e, data_env, types, bound);
+        match e {
+            Expr::Var(x) => bound
+                .iter()
+                .rev()
+                .find(|b| b.name == *x)
+                .map(|b| &b.ty)
+                .or_else(|| types.get(x))
+                .cloned()
+                .ok_or_else(|| err(LintErrorKind::UnboundVar(x.clone()))),
+            Expr::Lit(_) => Ok(Type::Int),
+            Expr::Prim(op, _) => Ok(op.result_type()),
+            Expr::Con(c, tys, _) => Ok(Type::Con(data_env.owner_of(c)?.name.clone(), tys.clone())),
+            Expr::Jump(.., res_ty) => Ok(res_ty.clone()),
+            Expr::Lam(b, body) => {
+                bound.push(b);
+                Ok(Type::fun(b.ty.clone(), go(body, bound)?))
+            }
+            Expr::TyLam(a, body) => Ok(Type::forall(a.clone(), go(body, bound)?)),
+            Expr::App(f, _) => match go(f, bound)? {
+                Type::Fun(_, res) => Ok(*res),
+                other => Err(err(LintErrorKind::NotAFunction(other))),
+            },
+            Expr::TyApp(f, phi) => match go(f, bound)? {
+                Type::Forall(a, body) => Ok(body.subst1(&a, phi)),
+                other => Err(err(LintErrorKind::NotPolymorphic(other))),
+            },
+            Expr::Let(LetBind::NonRec(b, _), body) => {
+                bound.push(b);
+                go(body, bound)
+            }
+            Expr::Let(LetBind::Rec(binds), body) => {
+                bound.extend(binds.iter().map(|(b, _)| b));
+                go(body, bound)
+            }
+            Expr::Join(_, body) => go(body, bound),
+            Expr::Case(_, alts) => {
+                let alt = alts.first().ok_or_else(|| err(LintErrorKind::EmptyCase))?;
+                bound.extend(&alt.binders);
+                go(&alt.rhs, bound)
+            }
+        }
+    }
+    spine(e, data_env, types, &mut Vec::new())
 }
 
 struct Checker<'a> {
     data_env: &'a DataEnv,
-    strict: bool,
 }
 
 impl Checker<'_> {
     /// Check that a type is well-formed under Γ: free type variables in
     /// scope, datatype applications saturated.
     fn wf_type(&self, t: &Type, gamma: &Gamma) -> Result<(), LintError> {
-        if !self.strict {
-            return Ok(());
-        }
         match t {
             Type::Var(a) => {
                 if gamma.has_tyvar(a) {
@@ -433,16 +472,7 @@ impl Checker<'_> {
             Expr::Jump(j, tys, args, res_ty) => {
                 self.wf_type(res_ty, gamma)?;
                 let Some(sig) = delta.get(j).cloned() else {
-                    if self.strict {
-                        return Err(err(LintErrorKind::UnboundLabel(j.clone())));
-                    }
-                    // Lenient mode: out-of-fragment label; still type the
-                    // arguments for internal consistency, then trust the
-                    // annotation.
-                    for arg in args {
-                        at("jump argument", self.infer(arg, gamma, &Delta::empty()))?;
-                    }
-                    return Ok(res_ty.clone());
+                    return Err(err(LintErrorKind::UnboundLabel(j.clone())));
                 };
                 if sig.ty_params.len() != tys.len() {
                     return Err(err(LintErrorKind::Arity {
@@ -637,7 +667,7 @@ impl Checker<'_> {
         }
 
         // Exhaustiveness.
-        if self.strict && !has_default {
+        if !has_default {
             match scrut_ty {
                 Type::Con(tc, _) => {
                     let dt = self.data_env.datatype(tc)?;

@@ -17,7 +17,7 @@
 use crate::simplify::{simplify_once, SimplOpts};
 use crate::OptError;
 use fj_ast::{Alt, Binder, DataEnv, Expr, Ident, JoinDef, LetBind, Name, NameSupply, Type};
-use fj_check::{type_of, Gamma};
+use fj_check::type_of;
 use std::collections::{HashMap, HashSet};
 
 /// Erase all join points and jumps, producing a plain System F term.
@@ -142,16 +142,8 @@ impl Eraser<'_> {
         self.types.insert(b.name.clone(), b.ty.clone());
     }
 
-    fn gamma(&self) -> Gamma {
-        let mut g = Gamma::new();
-        for (n, t) in &self.types {
-            g.bind_var(n.clone(), t.clone());
-        }
-        g
-    }
-
     fn ty_of(&self, e: &Expr) -> Result<Type, OptError> {
-        type_of(e, self.data_env, &self.gamma()).map_err(OptError::Type)
+        type_of(e, self.data_env, &self.types).map_err(OptError::Type)
     }
 
     #[allow(clippy::too_many_lines)]
@@ -210,8 +202,8 @@ impl Eraser<'_> {
             }
             Expr::Join(jb, body) => {
                 // The functions' shared result type ρ is the type of the
-                // join body (rule JBIND forces every RHS to match it).
-                // Jump annotations inside make the lenient query total.
+                // join body (rule JBIND forces every RHS to match it),
+                // read off the body's spine.
                 for d in jb.defs() {
                     for p in &d.params {
                         self.record(p);

@@ -88,7 +88,7 @@ pub use par::{optimize_many, par_map, par_threads, BoundedQueue};
 pub use pipeline::{
     apply_pass, optimize, optimize_resilient, optimize_with_report, OptConfig, Pass,
 };
-pub use simplify::{simplify, simplify_once, simplify_once_stats, simplify_stats, SimplOpts};
+pub use simplify::{simplify, simplify_once, SimplOpts};
 pub use stats::{Census, PassOutcome, PassStats, PipelineReport, RewriteStats};
 
 use fj_check::LintError;

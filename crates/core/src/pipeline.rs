@@ -204,9 +204,6 @@ impl OptConfig {
             p.name().hash(&mut h);
         }
         self.simpl.join_points.hash(&mut h);
-        self.simpl.inline_size.hash(&mut h);
-        self.simpl.dup_size.hash(&mut h);
-        self.simpl.max_rounds.hash(&mut h);
         self.lint_between.hash(&mut h);
         self.max_growth.map(f64::to_bits).hash(&mut h);
         self.max_passes.hash(&mut h);

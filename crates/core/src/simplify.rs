@@ -43,32 +43,28 @@ use fj_ast::{
     alpha_fingerprint, free_labels, mentions_label, Alt, AltCon, Binder, DataEnv, Expr, FxHashMap,
     JoinBind, JoinDef, LetBind, Name, NameSupply, PrimResult, Type,
 };
-use fj_check::{type_of, Gamma};
+use fj_check::type_of;
 
-/// Tuning knobs for the simplifier.
+/// Inline multi-use value bindings (and tiny join points) up to this size.
+const INLINE_SIZE: usize = 24;
+/// Duplicate a continuation into case branches up to this size; bigger
+/// contexts are shared through a fresh join point (or a `let`-bound
+/// function in baseline mode).
+const DUP_SIZE: usize = 18;
+/// Maximum simplifier rounds before settling.
+const MAX_ROUNDS: usize = 6;
+
+/// The simplifier's one setting.
 #[derive(Clone, Debug)]
 pub struct SimplOpts {
     /// Exploit join points (`jfloat`/`abort`, join-point context sharing).
     /// Off = the paper's baseline compiler.
     pub join_points: bool,
-    /// Inline multi-use value bindings up to this size.
-    pub inline_size: usize,
-    /// Duplicate a continuation into case branches up to this size;
-    /// bigger contexts are shared through a fresh join point (or a
-    /// `let`-bound function in baseline mode).
-    pub dup_size: usize,
-    /// Maximum simplifier rounds before settling.
-    pub max_rounds: usize,
 }
 
 impl Default for SimplOpts {
     fn default() -> Self {
-        SimplOpts {
-            join_points: true,
-            inline_size: 24,
-            dup_size: 18,
-            max_rounds: 6,
-        }
+        SimplOpts { join_points: true }
     }
 }
 
@@ -76,10 +72,7 @@ impl SimplOpts {
     /// The paper's baseline: joins treated like lets, contexts shared via
     /// `let`-bound functions.
     pub fn baseline() -> Self {
-        SimplOpts {
-            join_points: false,
-            ..SimplOpts::default()
-        }
+        SimplOpts { join_points: false }
     }
 }
 
@@ -96,30 +89,16 @@ pub fn simplify_once(
     opts: &SimplOpts,
 ) -> Result<Expr, OptError> {
     let mut scratch = RewriteStats::default();
-    simplify_once_stats(e, data_env, supply, opts, &mut scratch)
+    simplify_once_changed(e, data_env, supply, opts, &mut scratch).map(|(e, _)| e)
 }
 
 /// As [`simplify_once`], also accumulating rewrite-firing counters into
-/// `stats` (the per-pass observability of [`crate::PipelineReport`]).
-///
-/// # Errors
-///
-/// As [`simplify_once`].
-pub fn simplify_once_stats(
-    e: &Expr,
-    data_env: &DataEnv,
-    supply: &mut NameSupply,
-    opts: &SimplOpts,
-    stats: &mut RewriteStats,
-) -> Result<Expr, OptError> {
-    simplify_once_changed(e, data_env, supply, opts, stats).map(|(e, _)| e)
-}
-
-/// As [`simplify_once_stats`], also reporting whether the round rewrote
-/// anything at all. The flag covers rewrites the counters do not (e.g.
-/// trivial-atom substitution), so `changed == false` is a sound witness
-/// that the output is the input, which the pipeline uses to skip re-lint,
-/// census, and repeat runs of the same pass.
+/// `stats` (the per-pass observability of [`crate::PipelineReport`]) and
+/// reporting whether the round rewrote anything at all. The flag covers
+/// rewrites the counters do not (e.g. trivial-atom substitution), so
+/// `changed == false` is a sound witness that the output is the input,
+/// which the pipeline uses to skip re-lint, census, and repeat runs of
+/// the same pass.
 ///
 /// # Errors
 ///
@@ -137,7 +116,7 @@ pub fn simplify_once_changed(
         supply,
         opts,
         occ,
-        gamma: Gamma::new(),
+        types: FxHashMap::default(),
         subst: FxHashMap::default(),
         join_inline: FxHashMap::default(),
         changed: false,
@@ -149,7 +128,7 @@ pub fn simplify_once_changed(
 }
 
 /// Run simplifier rounds until the term stops changing (α-fingerprint) or
-/// `opts.max_rounds` is hit.
+/// the round limit is hit.
 ///
 /// # Errors
 ///
@@ -160,29 +139,13 @@ pub fn simplify(
     supply: &mut NameSupply,
     opts: &SimplOpts,
 ) -> Result<Expr, OptError> {
-    let mut scratch = RewriteStats::default();
-    simplify_stats(e, data_env, supply, opts, &mut scratch)
-}
-
-/// As [`simplify`], also accumulating rewrite-firing counters across all
-/// rounds into `stats`.
-///
-/// # Errors
-///
-/// As [`simplify_once`].
-pub fn simplify_stats(
-    e: &Expr,
-    data_env: &DataEnv,
-    supply: &mut NameSupply,
-    opts: &SimplOpts,
-    stats: &mut RewriteStats,
-) -> Result<Expr, OptError> {
+    let mut stats = RewriteStats::default();
     let mut cur = e.clone();
     // The fingerprint of `cur`, computed lazily: a round that reports
     // `changed == false` exits without fingerprinting anything at all.
     let mut fp = None;
-    for _ in 0..opts.max_rounds {
-        let (next, changed) = simplify_once_changed(&cur, data_env, supply, opts, stats)?;
+    for _ in 0..MAX_ROUNDS {
+        let (next, changed) = simplify_once_changed(&cur, data_env, supply, opts, &mut stats)?;
         if !changed {
             break;
         }
@@ -247,10 +210,10 @@ struct Simplifier<'a> {
     supply: &'a mut NameSupply,
     opts: &'a SimplOpts,
     occ: OccMap,
-    /// Γ for every binder seen on the way down, maintained incrementally
-    /// (binders are globally unique, so the environment only grows and is
-    /// never rebuilt per `ty_of` query).
-    gamma: Gamma,
+    /// The type of every binder recorded on the way down. Binders are
+    /// globally unique, so the map only grows; `ty_of` reads from it the
+    /// variables that its spine walk does not bind itself.
+    types: FxHashMap<Name, Type>,
     /// Pending value inlinings: binder ↦ simplified RHS.
     subst: FxHashMap<Name, Expr>,
     /// Pending join-point inlinings: label ↦ simplified definition.
@@ -262,60 +225,22 @@ struct Simplifier<'a> {
 
 impl Simplifier<'_> {
     fn record(&mut self, b: &Binder) {
-        self.gamma.bind_var(b.name.clone(), b.ty.clone());
-    }
-
-    /// Record the types of all binders inside a freshly copied term, so
-    /// later `type_of` queries can see them.
-    fn record_all(&mut self, e: &Expr) {
-        let mut stack = vec![e];
-        while let Some(cur) = stack.pop() {
-            match cur {
-                Expr::Lam(b, body) => {
-                    self.gamma.bind_var(b.name.clone(), b.ty.clone());
-                    stack.push(body);
-                }
-                Expr::Case(s, alts) => {
-                    stack.push(s);
-                    for a in alts {
-                        for b in &a.binders {
-                            self.gamma.bind_var(b.name.clone(), b.ty.clone());
-                        }
-                        stack.push(&a.rhs);
-                    }
-                }
-                Expr::Let(bind, body) => {
-                    for b in bind.binders() {
-                        self.gamma.bind_var(b.name.clone(), b.ty.clone());
-                    }
-                    for (_, rhs) in bind.pairs() {
-                        stack.push(rhs);
-                    }
-                    stack.push(body);
-                }
-                Expr::Join(jb, body) => {
-                    for d in jb.defs() {
-                        for p in &d.params {
-                            self.gamma.bind_var(p.name.clone(), p.ty.clone());
-                        }
-                        stack.push(&d.body);
-                    }
-                    stack.push(body);
-                }
-                Expr::App(f, a) => {
-                    stack.push(f);
-                    stack.push(a);
-                }
-                Expr::TyApp(f, _) | Expr::TyLam(_, f) => stack.push(f),
-                Expr::Prim(_, args) | Expr::Con(_, _, args) => stack.extend(args.iter()),
-                Expr::Jump(_, _, args, _) => stack.extend(args.iter()),
-                Expr::Var(_) | Expr::Lit(_) => {}
-            }
-        }
+        self.types.insert(b.name.clone(), b.ty.clone());
     }
 
     fn ty_of(&self, e: &Expr) -> Result<Type, OptError> {
-        type_of(e, self.data_env, &self.gamma).map_err(OptError::Type)
+        type_of(e, self.data_env, &self.types).map_err(OptError::Type)
+    }
+
+    /// The type of a `case` with these alternatives: its first one's.
+    fn alts_ty(&mut self, alts: &[Alt]) -> Result<Type, OptError> {
+        let alt = alts
+            .first()
+            .ok_or_else(|| OptError::Internal("empty case".into()))?;
+        for b in &alt.binders {
+            self.record(b);
+        }
+        self.ty_of(&alt.rhs)
     }
 
     /// The type of `cont[hole]` given the hole's type.
@@ -338,14 +263,7 @@ impl Simplifier<'_> {
                 ))),
             },
             Cont::Select(alts, r) => {
-                let alt = alts
-                    .first()
-                    .ok_or_else(|| OptError::Internal("empty case in continuation".into()))?;
-                for b in &alt.binders {
-                    self.gamma.bind_var(b.name.clone(), b.ty.clone());
-                }
-                self.record_all(&alt.rhs);
-                let t = self.ty_of(&alt.rhs)?;
+                let t = self.alts_ty(alts)?;
                 self.cont_result_ty(r, &t)
             }
         }
@@ -364,7 +282,7 @@ impl Simplifier<'_> {
     ///
     /// `hole_ty` is the type of the expression that will be plugged in.
     fn mk_dupable(&mut self, cont: Cont, hole_ty: &Type) -> Result<(Cont, Vec<Wrapper>), OptError> {
-        if cont.size() <= self.opts.dup_size {
+        if cont.size() <= DUP_SIZE {
             return Ok((cont, Vec::new()));
         }
         match cont {
@@ -373,7 +291,7 @@ impl Simplifier<'_> {
                 let rest_hole = self
                     .cont_result_ty(&Cont::ApplyTo(arg.clone(), Box::new(Cont::Stop)), hole_ty)?;
                 let (dup_rest, mut ws) = self.mk_dupable(*rest, &rest_hole)?;
-                let arg2 = if arg.size() > self.opts.dup_size {
+                let arg2 = if arg.size() > DUP_SIZE {
                     let arg_ty = self.ty_of(&arg)?;
                     let a = Binder::new(self.supply.fresh("sa"), arg_ty);
                     self.record(&a);
@@ -393,21 +311,12 @@ impl Simplifier<'_> {
                 Ok((Cont::ApplyToTy(t, Box::new(dup_rest)), ws))
             }
             Cont::Select(alts, rest) => {
-                let alt_ty = {
-                    let alt = alts
-                        .first()
-                        .ok_or_else(|| OptError::Internal("empty case".into()))?;
-                    for b in &alt.binders {
-                        self.gamma.bind_var(b.name.clone(), b.ty.clone());
-                    }
-                    self.record_all(&alt.rhs);
-                    self.ty_of(&alt.rhs)?
-                };
+                let alt_ty = self.alts_ty(&alts)?;
                 let (dup_rest, mut ws) = self.mk_dupable(*rest, &alt_ty)?;
                 let res_final = self.cont_result_ty(&dup_rest, &alt_ty)?;
                 let mut alts2 = Vec::with_capacity(alts.len());
                 for alt in alts {
-                    if alt.rhs.size() <= self.opts.dup_size {
+                    if alt.rhs.size() <= DUP_SIZE {
                         alts2.push(alt);
                         continue;
                     }
@@ -431,7 +340,6 @@ impl Simplifier<'_> {
                             .map(|(b, nb)| (b.name.clone(), Expr::var(&nb.name))),
                         self.supply,
                     );
-                    self.record_all(&renamed);
                     let arg_vars: Vec<Expr> =
                         alt.binders.iter().map(|b| Expr::var(&b.name)).collect();
                     self.stats.shared_contexts += 1;
@@ -500,7 +408,6 @@ impl Simplifier<'_> {
                     self.changed = true;
                     self.stats.inline += 1;
                     let copy = fj_ast::freshen(&img, self.supply);
-                    self.record_all(&copy);
                     return self.simpl(&copy, cont);
                 }
                 self.apply_cont(Expr::var(x), cont)
@@ -544,7 +451,6 @@ impl Simplifier<'_> {
                     self.changed = true;
                     self.stats.beta += 1;
                     let inst = fj_ast::subst_ty_in_expr(body, a, &t, self.supply);
-                    self.record_all(&inst);
                     self.simpl(&inst, *rest)
                 }
                 _ => {
@@ -595,7 +501,6 @@ impl Simplifier<'_> {
                         s = s.bind_ty(a.clone(), t.clone());
                     }
                     let inlined = s.apply(&inlined);
-                    self.record_all(&inlined);
                     return self.simpl(&inlined, Cont::Stop);
                 }
                 Ok(Expr::Jump(j.clone(), tys.clone(), args2, res2))
@@ -644,16 +549,7 @@ impl Simplifier<'_> {
                     // Neutral scrutinee: rebuild the case, pushing the rest
                     // of the context into the branches (casefloat /
                     // case-of-case), sharing it when it is too big.
-                    let hole_ty = {
-                        let alt = alts
-                            .first()
-                            .ok_or_else(|| OptError::Internal("empty case".into()))?;
-                        for b in &alt.binders {
-                            self.gamma.bind_var(b.name.clone(), b.ty.clone());
-                        }
-                        self.record_all(&alt.rhs);
-                        self.ty_of(&alt.rhs)?
-                    };
+                    let hole_ty = self.alts_ty(&alts)?;
                     let n_branches = alts.len();
                     let (dup, wrappers) = if n_branches > 1 {
                         self.mk_dupable(*rest, &hole_ty)?
@@ -760,9 +656,7 @@ impl Simplifier<'_> {
                 // nor allocation. Constructor cells stay shared: inlining
                 // `let x = Just e` into several sites would rebuild the
                 // cell at each one.
-                if matches!(&rhs, Expr::Lam(..) | Expr::TyLam(..))
-                    && rhs.size() <= self.opts.inline_size
-                {
+                if matches!(&rhs, Expr::Lam(..) | Expr::TyLam(..)) && rhs.size() <= INLINE_SIZE {
                     self.changed = true;
                     self.subst.insert(b.name, rhs);
                     return self.simpl(body, cont);
@@ -832,7 +726,6 @@ impl Simplifier<'_> {
         }
 
         // jfloat: duplicate the pending context into each RHS and the body.
-        self.record_all(body);
         let hole_ty = self.ty_of(body)?;
         let (dup, wrappers) = self.mk_dupable(cont, &hole_ty)?;
         if !dup.is_stop() {
@@ -858,7 +751,7 @@ impl Simplifier<'_> {
         if let JoinBind::NonRec(orig) = jb {
             let occ = self.occ.info(&orig.name);
             let def2 = defs2.into_iter().next().expect("nonrec join has one def");
-            let small = def2.body.size() <= self.opts.inline_size;
+            let small = def2.body.size() <= INLINE_SIZE;
             if occ.count == OccCount::Once || small {
                 self.join_inline.insert(orig.name.clone(), def2.clone());
                 let body2 = self.simpl(body, dup)?;

@@ -76,7 +76,7 @@ fn case_of_case_collapses_null() {
 fn big_branches_become_shared_join_point() {
     let mut d = Dsl::new();
     let v = d.binder("v", Type::bool());
-    // big(i) — an expression over x big enough to exceed dup_size.
+    // big(i) — an expression over x big enough to exceed DUP_SIZE.
     let big = |x: Expr| {
         let mut acc = x;
         for i in 0..12 {

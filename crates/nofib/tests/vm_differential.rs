@@ -1,10 +1,18 @@
 //! ISSUE acceptance: the bytecode VM agrees with the Fig. 3 machine —
 //! same value, same allocation metrics — on EVERY nofib program, under
-//! both the baseline and the join-points pipeline.
+//! both the baseline and the join-points pipeline, with the
+//! superinstruction peephole on and off.
 
+use fj_ast::Expr;
 use fj_core::OptConfig;
 use fj_eval::EvalMode;
 use fj_nofib::{lower, programs, FUEL, VM_FUEL};
+use fj_vm::{compile_with, CompileOpts, Program};
+
+fn vm_program(e: &Expr, fuse: bool) -> Program {
+    compile_with(e, EvalMode::CallByValue, CompileOpts { fuse })
+        .unwrap_or_else(|err| panic!("vm compile (fuse={fuse}): {err}"))
+}
 
 #[test]
 fn vm_matches_machine_on_every_nofib_program() {
@@ -17,29 +25,31 @@ fn vm_matches_machine_on_every_nofib_program() {
             let term = lower(p.source, cfg);
             let m = fj_eval::run(&term, EvalMode::CallByValue, FUEL)
                 .unwrap_or_else(|e| panic!("{} [{label}]: machine: {e}", p.name));
-            let v = fj_vm::run(&term, EvalMode::CallByValue, VM_FUEL)
-                .unwrap_or_else(|e| panic!("{} [{label}]: vm: {e}", p.name));
-            assert_eq!(
-                m.value, v.value,
-                "{} [{label}]: backends disagree on the value",
-                p.name
-            );
-            assert_eq!(
-                (
-                    m.metrics.let_allocs,
-                    m.metrics.arg_allocs,
-                    m.metrics.con_allocs,
-                    m.metrics.jumps
-                ),
-                (
-                    v.metrics.let_allocs,
-                    v.metrics.arg_allocs,
-                    v.metrics.con_allocs,
-                    v.metrics.jumps
-                ),
-                "{} [{label}]: backends disagree on allocation metrics",
-                p.name
-            );
+            for fuse in [false, true] {
+                let v = fj_vm::run_program(&vm_program(&term, fuse), VM_FUEL)
+                    .unwrap_or_else(|e| panic!("{} [{label}] fuse={fuse}: vm: {e}", p.name));
+                assert_eq!(
+                    m.value, v.value,
+                    "{} [{label}] fuse={fuse}: backends disagree on the value",
+                    p.name
+                );
+                assert_eq!(
+                    (
+                        m.metrics.let_allocs,
+                        m.metrics.arg_allocs,
+                        m.metrics.con_allocs,
+                        m.metrics.jumps
+                    ),
+                    (
+                        v.metrics.let_allocs,
+                        v.metrics.arg_allocs,
+                        v.metrics.con_allocs,
+                        v.metrics.jumps
+                    ),
+                    "{} [{label}] fuse={fuse}: backends disagree on allocation metrics",
+                    p.name
+                );
+            }
         }
     }
 }
@@ -65,11 +75,13 @@ def main : Int =
         matches!(m, Err(fj_eval::MachineError::OutOfFuel)),
         "machine: expected OutOfFuel, got {m:?}"
     );
-    let v = fj_vm::run(e, EvalMode::CallByValue, 10_000);
-    assert!(
-        matches!(v, Err(fj_vm::VmError::OutOfFuel)),
-        "vm: expected OutOfFuel, got {v:?}"
-    );
+    for fuse in [false, true] {
+        let v = fj_vm::run_program(&vm_program(e, fuse), 10_000);
+        assert!(
+            matches!(v, Err(fj_vm::VmError::OutOfFuel)),
+            "vm fuse={fuse}: expected OutOfFuel, got {v:?}"
+        );
+    }
 
     // Huge fuel but a tight wall-clock deadline: both must time out.
     let limit = Duration::from_millis(30);
@@ -78,9 +90,11 @@ def main : Int =
         matches!(m, Err(fj_eval::MachineError::Timeout { .. })),
         "machine: expected Timeout, got {m:?}"
     );
-    let v = fj_vm::run_with_limits(e, EvalMode::CallByValue, u64::MAX, Some(limit));
-    assert!(
-        matches!(v, Err(fj_vm::VmError::Timeout { .. })),
-        "vm: expected Timeout, got {v:?}"
-    );
+    for fuse in [false, true] {
+        let v = fj_vm::run_program_with_limits(&vm_program(e, fuse), u64::MAX, Some(limit));
+        assert!(
+            matches!(v, Err(fj_vm::VmError::Timeout { .. })),
+            "vm fuse={fuse}: expected Timeout, got {v:?}"
+        );
+    }
 }

@@ -3,14 +3,16 @@
 //! The surface language is explicitly typed (annotations on every binder,
 //! explicit `@ty` instantiation), so lowering is name resolution plus a
 //! little local type reconstruction: `case` field binders get their types
-//! by typing the (already lowered, annotated) scrutinee and instantiating
-//! the constructor's fields — no global inference is ever needed.
+//! by reading the (already lowered, annotated) scrutinee's type off its
+//! spine with `fj_check::type_of` and instantiating the constructor's
+//! fields. Nothing is inferred and nothing is checked: callers run
+//! `fj_check::lint` on the lowered program.
 
 use crate::ast::{BinOp, SAlt, SBinder, SData, SExpr, SJoinDef, SPat, SProgram, STy};
 use crate::token::Pos;
 use crate::SurfaceError;
 use fj_ast::{Alt, AltCon, Binder, DataEnv, Expr, Ident, JoinDef, Name, NameSupply, PrimOp, Type};
-use fj_check::{type_of, Gamma};
+use fj_check::type_of;
 use std::collections::HashMap;
 
 /// The output of lowering a program.
@@ -535,14 +537,10 @@ impl Lowerer {
         pos: Pos,
     ) -> Result<Expr, SurfaceError> {
         let scrut2 = self.lower_expr(scrut, scope)?;
-        // Reconstruct the scrutinee's type so field binders can be
-        // annotated (lenient: jumps/free tyvars are fine).
-        let mut gamma = Gamma::new();
-        for (n, t) in &self.types {
-            gamma.bind_var(n.clone(), t.clone());
-        }
+        // Read the scrutinee's type off its annotations so field binders
+        // can be annotated.
         let scrut_ty =
-            type_of(&scrut2, &self.data_env, &gamma).map_err(|e| SurfaceError::Lower {
+            type_of(&scrut2, &self.data_env, &self.types).map_err(|e| SurfaceError::Lower {
                 pos,
                 msg: format!("cannot type case scrutinee: {e}"),
             })?;

@@ -405,9 +405,7 @@ pub fn check_routes(cfg: &FarmConfig, g: &G, seed: u64) -> Result<bool, (RoutePa
     }
 
     // vm-unfused vs vm-fused: the superinstruction peephole must be
-    // invisible — same value, same allocation counters. Both streams
-    // are compiled explicitly so the oracle holds regardless of the
-    // FJ_VM_FUSE default.
+    // invisible — same value, same allocation counters.
     let vm_route = |fuse: bool| {
         let prog = fj_vm::compile_with(
             &strict_out,

@@ -23,7 +23,6 @@ use fj_eval::EvalMode;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
-use std::sync::OnceLock;
 
 /// Interned tag of the `True` constructor (fixed, so [`Op::Prim`] can
 /// build booleans without a lookup).
@@ -145,10 +144,8 @@ struct Compiler {
     depth: u16,
 }
 
-/// Compile-time options. The only knob today is the fusion peephole,
-/// whose default comes from the `FJ_VM_FUSE` environment variable
-/// (`FJ_VM_FUSE=0` disables it process-wide — the CI oracle runs the
-/// whole differential suite once that way).
+/// Compile-time options. The only knob is the fusion peephole, on by
+/// default; the differential suites compile every term both ways.
 #[derive(Clone, Copy, Debug)]
 pub struct CompileOpts {
     /// Run the superinstruction peephole over the finalized stream.
@@ -157,24 +154,15 @@ pub struct CompileOpts {
 
 impl Default for CompileOpts {
     fn default() -> Self {
-        CompileOpts {
-            fuse: fuse_default(),
-        }
+        CompileOpts { fuse: true }
     }
-}
-
-/// The process-wide fusion default: `true` unless `FJ_VM_FUSE=0`.
-#[must_use]
-pub fn fuse_default() -> bool {
-    static FUSE: OnceLock<bool> = OnceLock::new();
-    *FUSE.get_or_init(|| std::env::var("FJ_VM_FUSE").map_or(true, |v| v != "0"))
 }
 
 /// Compile a closed, Lint-clean term for one evaluation mode. Laziness
 /// and the allocation-charging policy differ per mode, so the mode is
-/// baked into the program. Fusion follows [`fuse_default`]; use
-/// [`compile_with`] to pin it explicitly (the fuzz farm compiles both
-/// ways and diffs them).
+/// baked into the program. Fusion is on; use [`compile_with`] to turn it
+/// off (the fuzz farm and the differential suites compile both ways and
+/// diff them).
 ///
 /// # Errors
 ///

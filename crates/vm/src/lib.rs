@@ -35,7 +35,7 @@ pub mod ops;
 pub mod profile;
 pub mod value;
 
-pub use compile::{compile, compile_with, fuse_default, CompileError, CompileOpts};
+pub use compile::{compile, compile_with, CompileError, CompileOpts};
 pub use exec::{run_program, run_program_profiled, run_program_with_limits};
 pub use ops::{Code, Op, Program};
 pub use profile::OpProfile;

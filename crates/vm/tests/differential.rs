@@ -2,12 +2,14 @@
 //!
 //! The contract is strict — same value AND same allocation metrics
 //! (`let`/`arg`/`con` units and the jump count). `steps` and
-//! `max_stack` are backend-specific and excluded.
+//! `max_stack` are backend-specific and excluded. Every term is compiled
+//! twice, with and without the superinstruction peephole, and each
+//! stream is held to the machine.
 
 use fj_ast::{Binder, Expr, JoinDef, NameSupply, PrimOp, Type};
-use fj_eval::{EvalMode, MachineError, Value};
+use fj_eval::{EvalMode, MachineError, Outcome, Value};
 use fj_testkit::{build_closed, runner, Config};
-use fj_vm::VmError;
+use fj_vm::{compile_with, run_program, CompileOpts, VmError};
 
 const MACHINE_FUEL: u64 = 5_000_000;
 const VM_FUEL: u64 = 50_000_000;
@@ -18,43 +20,54 @@ const ALL_MODES: [EvalMode; 3] = [
     EvalMode::CallByNeed,
 ];
 
-/// Run both backends and demand agreement on outcome class, value, and
-/// allocation metrics.
+/// Compile `e` with fusion on or off and run it on the VM.
+fn vm_run(e: &Expr, mode: EvalMode, fuse: bool) -> Result<Outcome, VmError> {
+    let prog = compile_with(e, mode, CompileOpts { fuse }).map_err(VmError::Compile)?;
+    run_program(&prog, VM_FUEL)
+}
+
+/// Run the machine and both VM streams and demand agreement on outcome
+/// class, value, and allocation metrics.
 fn assert_parity(e: &Expr, mode: EvalMode) -> Result<(), String> {
     let m = fj_eval::run(e, mode, MACHINE_FUEL);
-    let v = fj_vm::run(e, mode, VM_FUEL);
-    match (m, v) {
-        (Ok(m), Ok(v)) => {
-            if m.value != v.value {
-                return Err(format!(
-                    "{mode:?}: value mismatch: machine {} vs vm {}\n{e}",
-                    m.value, v.value
-                ));
+    for fuse in [false, true] {
+        match (&m, vm_run(e, mode, fuse)) {
+            (Ok(m), Ok(v)) => {
+                if m.value != v.value {
+                    return Err(format!(
+                        "{mode:?} fuse={fuse}: value mismatch: machine {} vs vm {}\n{e}",
+                        m.value, v.value
+                    ));
+                }
+                let (a, b) = (&m.metrics, &v.metrics);
+                if (a.let_allocs, a.arg_allocs, a.con_allocs, a.jumps)
+                    != (b.let_allocs, b.arg_allocs, b.con_allocs, b.jumps)
+                {
+                    return Err(format!(
+                        "{mode:?} fuse={fuse}: metric mismatch: machine let={} arg={} con={} \
+                         jumps={} vs vm let={} arg={} con={} jumps={}\n{e}",
+                        a.let_allocs,
+                        a.arg_allocs,
+                        a.con_allocs,
+                        a.jumps,
+                        b.let_allocs,
+                        b.arg_allocs,
+                        b.con_allocs,
+                        b.jumps
+                    ));
+                }
             }
-            let (a, b) = (&m.metrics, &v.metrics);
-            if (a.let_allocs, a.arg_allocs, a.con_allocs, a.jumps)
-                != (b.let_allocs, b.arg_allocs, b.con_allocs, b.jumps)
-            {
+            (Err(MachineError::DivideByZero), Err(VmError::DivideByZero))
+            | (Err(MachineError::OutOfFuel), Err(VmError::OutOfFuel))
+            | (Err(MachineError::Stuck(_)), Err(VmError::Stuck(_))) => {}
+            (m, v) => {
                 return Err(format!(
-                    "{mode:?}: metric mismatch: machine let={} arg={} con={} jumps={} \
-                     vs vm let={} arg={} con={} jumps={}\n{e}",
-                    a.let_allocs,
-                    a.arg_allocs,
-                    a.con_allocs,
-                    a.jumps,
-                    b.let_allocs,
-                    b.arg_allocs,
-                    b.con_allocs,
-                    b.jumps
-                ));
+                    "{mode:?} fuse={fuse}: outcome mismatch: {m:?} vs {v:?}\n{e}"
+                ))
             }
-            Ok(())
         }
-        (Err(MachineError::DivideByZero), Err(VmError::DivideByZero))
-        | (Err(MachineError::OutOfFuel), Err(VmError::OutOfFuel))
-        | (Err(MachineError::Stuck(_)), Err(VmError::Stuck(_))) => Ok(()),
-        (m, v) => Err(format!("{mode:?}: outcome mismatch: {m:?} vs {v:?}\n{e}")),
     }
+    Ok(())
 }
 
 fn int() -> Type {
@@ -109,24 +122,28 @@ fn jump_is_allocation_free() {
     let e = Expr::joinrec(vec![def], Expr::jump(&j, vec![], vec![Expr::Lit(0)], int()));
     for mode in ALL_MODES {
         let m = fj_eval::run(&e, mode, MACHINE_FUEL).unwrap();
-        let v = fj_vm::run(&e, mode, VM_FUEL).unwrap();
-        assert_eq!(v.value, Value::Int(1000));
-        assert_eq!(v.value, m.value);
-        // 1 entry jump + 1000 loop jumps.
-        assert_eq!(v.metrics.jumps, 1001, "{mode:?}");
-        assert_eq!(v.metrics.jumps, m.metrics.jumps, "{mode:?}");
-        assert_eq!(
-            v.metrics.total_allocs(),
-            m.metrics.total_allocs(),
-            "{mode:?}: allocation parity"
-        );
+        for fuse in [false, true] {
+            let v = vm_run(&e, mode, fuse).unwrap();
+            assert_eq!(v.value, Value::Int(1000));
+            assert_eq!(v.value, m.value);
+            // 1 entry jump + 1000 loop jumps.
+            assert_eq!(v.metrics.jumps, 1001, "{mode:?} fuse={fuse}");
+            assert_eq!(v.metrics.jumps, m.metrics.jumps, "{mode:?} fuse={fuse}");
+            assert_eq!(
+                v.metrics.total_allocs(),
+                m.metrics.total_allocs(),
+                "{mode:?} fuse={fuse}: allocation parity"
+            );
+        }
     }
     // The headline exact count: by value (the bench configuration), the
     // 1001 jumps perform zero heap allocation — each is a branch plus a
     // stack truncation. (Lazy modes charge the non-atomic argument
     // `x+1` one `arg` thunk per jump, exactly as the machine does.)
-    let v = fj_vm::run(&e, EvalMode::CallByValue, VM_FUEL).unwrap();
-    assert_eq!(v.metrics.total_allocs(), 0, "vm jump must not allocate");
+    for fuse in [false, true] {
+        let v = vm_run(&e, EvalMode::CallByValue, fuse).unwrap();
+        assert_eq!(v.metrics.total_allocs(), 0, "vm jump must not allocate");
+    }
 }
 
 /// Hand-picked shapes the generator reaches rarely: recursive lets,
@@ -337,9 +354,11 @@ fn long_join_loop_matches_machine_counters() {
         Expr::jump(&j, vec![], vec![Expr::Lit(0), Expr::Lit(100_000)], int()),
     );
     let m = fj_eval::run(&e, EvalMode::CallByValue, MACHINE_FUEL).unwrap();
-    let v = fj_vm::run(&e, EvalMode::CallByValue, VM_FUEL).unwrap();
-    assert_eq!(v.value, Value::Int(5_000_050_000));
-    assert_eq!(m.value, v.value);
-    assert_eq!(m.metrics.jumps, v.metrics.jumps);
-    assert_eq!(v.metrics.total_allocs(), 0);
+    for fuse in [false, true] {
+        let v = vm_run(&e, EvalMode::CallByValue, fuse).unwrap();
+        assert_eq!(v.value, Value::Int(5_000_050_000));
+        assert_eq!(m.value, v.value);
+        assert_eq!(m.metrics.jumps, v.metrics.jumps);
+        assert_eq!(v.metrics.total_allocs(), 0);
+    }
 }

@@ -22,16 +22,11 @@ run cargo fmt --all --check
 
 run cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# Every test once, including the saboteur suites (every saboteur mode is
+# caught, rolled back, and value-preserving), the server chaos suite, and
+# the VM differential suites, which hold both the fused and the unfused
+# instruction stream to the machine.
 run cargo test --workspace --offline -q
-
-# Fault-injection smoke: every saboteur mode is caught, rolled back, and
-# value-preserving — on generated programs and on the whole nofib suite.
-run cargo test -p fj-testkit -p fj-nofib saboteur --offline -q
-
-# Chaos smoke: the seeded client saboteur (slow-loris, torn frames,
-# garbage, oversize, floods) against a live server — honest clients must
-# get correct answers and the service counters must reconcile exactly.
-run cargo test -p fj-server --test chaos --offline -q
 
 # Fuzz-farm smoke: a fixed-seed, time-budgeted pass over the full route
 # matrix (strict/resilient/cached/machine/VM) must agree on every case.
@@ -62,13 +57,6 @@ if [[ "$QUICK" -eq 0 ]]; then
   # build keeps its internal invariant checks honest.
   echo '==> RUSTFLAGS="-C debug-assertions=on" cargo test -p fj-vm --release --offline -q'
   env RUSTFLAGS="-C debug-assertions=on" cargo test -p fj-vm --release --offline -q
-  # Fusion-disabled oracle pass: with superinstructions off, the plain
-  # instruction stream must still match the substitution machine on
-  # every program, every value, and every counter.
-  echo '==> FJ_VM_FUSE=0 cargo test -p fj-vm --test differential --offline -q'
-  env FJ_VM_FUSE=0 cargo test -p fj-vm --test differential --offline -q
-  echo '==> FJ_VM_FUSE=0 cargo test -p fj-nofib --test vm_differential --offline -q'
-  env FJ_VM_FUSE=0 cargo test -p fj-nofib --test vm_differential --offline -q
   run cargo build --workspace --release --offline
   # The headline acceptance check: the report must render, and the
   # join-points pipeline must win on the contification-sensitive rows

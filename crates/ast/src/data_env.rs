@@ -39,16 +39,6 @@ pub struct DataType {
     pub ctors: Vec<DataCon>,
 }
 
-impl DataType {
-    /// The result type `T a⃗` of all this datatype's constructors.
-    pub fn applied_to_own_vars(&self) -> Type {
-        Type::Con(
-            self.name.clone(),
-            self.ty_vars.iter().map(|a| Type::Var(a.clone())).collect(),
-        )
-    }
-}
-
 /// Errors from datatype declaration and lookup.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DataEnvError {

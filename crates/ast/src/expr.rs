@@ -17,16 +17,24 @@
 //!
 //! ## Subtree sharing
 //!
-//! Subtrees are held behind [`Arc`], not `Box`: a pass that leaves a
-//! subtree untouched returns the *same* pointer, so cloning a term for a
-//! rollback snapshot is a reference-count bump and `Arc::ptr_eq` on a
-//! child is a sound "nothing changed below here" witness (names are
-//! globally unique, so a shared subtree cannot mean two different things
-//! in two positions). Passes rewrite copy-on-write via
-//! [`Arc::make_mut`]/[`Expr::unshare`], paying for a node copy only on
-//! the path that actually changed. `Arc` rather than `Rc` because terms
-//! cross threads: the pass guard runs deadline-guarded passes on watcher
-//! threads, and `optimize_many` fans whole pipelines out over a pool.
+//! Subtrees are held behind [`Arc`], not `Box`, so cloning a term for a
+//! rollback snapshot is a reference-count bump. A traversal written on
+//! [`Expr::map_children`] returns "unchanged" for an untouched subtree
+//! and rebuilds only the nodes on a path that changed; every other child
+//! is the input's *same* pointer, and `Arc::ptr_eq` on it is a sound
+//! "nothing changed below here" witness (names are globally unique, so a
+//! shared subtree cannot mean two different things in two positions).
+//! Contification, Float In, Float Out, CSE and erasure are written that
+//! way, so a run of one of them that changes nothing allocates nothing.
+//! The simplifier still rebuilds every node it visits. `Arc` rather than
+//! `Rc` because terms cross threads: `optimize_many` fans whole pipelines
+//! out over a pool, and the compile service's workers share cached terms.
+//!
+//! [`Expr::map_children`] visits children in evaluation order: function
+//! before argument, scrutinee before alternatives, right-hand sides
+//! before body, join definitions before body, and vector elements left
+//! to right. Passes rely on that order: their rewrite counters and CSE's
+//! fresh names come out the same as in a hand-written traversal.
 
 use crate::name::{Ident, Name};
 use crate::ty::Type;
@@ -528,6 +536,82 @@ impl Expr {
         }
     }
 
+    /// Rebuild this node with `f` applied to each immediate subterm, in
+    /// evaluation order (see the module docs). `f` returns `None` for a
+    /// child it leaves unchanged. When every call returns `None`, so does
+    /// this method, and nothing is allocated; otherwise the result is one
+    /// new node whose untouched `Arc` children are the input's own.
+    pub fn map_children(&self, mut f: impl FnMut(&Expr) -> Option<Expr>) -> Option<Expr> {
+        Some(match self {
+            Expr::Var(_) | Expr::Lit(_) => return None,
+            Expr::Prim(op, args) => Expr::Prim(*op, map_slice(args, f)?),
+            Expr::Lam(b, body) => Expr::Lam(b.clone(), Arc::new(f(body)?)),
+            Expr::TyLam(a, body) => Expr::TyLam(a.clone(), Arc::new(f(body)?)),
+            Expr::TyApp(fun, t) => Expr::TyApp(Arc::new(f(fun)?), t.clone()),
+            Expr::Con(c, tys, args) => Expr::Con(c.clone(), tys.clone(), map_slice(args, f)?),
+            Expr::Jump(j, tys, args, res) => {
+                Expr::Jump(j.clone(), tys.clone(), map_slice(args, f)?, res.clone())
+            }
+            Expr::App(fun, arg) => {
+                let (fun2, arg2) = (f(fun).map(Arc::new), f(arg).map(Arc::new));
+                if fun2.is_none() && arg2.is_none() {
+                    return None;
+                }
+                Expr::App(
+                    fun2.unwrap_or_else(|| fun.clone()),
+                    arg2.unwrap_or_else(|| arg.clone()),
+                )
+            }
+            Expr::Case(s, alts) => {
+                let s2 = f(s).map(Arc::new);
+                let alts2 = map_slice(alts, |a| {
+                    f(&a.rhs).map(|rhs| Alt {
+                        con: a.con.clone(),
+                        binders: a.binders.clone(),
+                        rhs,
+                    })
+                });
+                if s2.is_none() && alts2.is_none() {
+                    return None;
+                }
+                Expr::Case(
+                    s2.unwrap_or_else(|| s.clone()),
+                    alts2.unwrap_or_else(|| alts.clone()),
+                )
+            }
+            Expr::Let(bind, body) => {
+                let bind2 = match bind {
+                    LetBind::NonRec(b, rhs) => f(rhs).map(|r| LetBind::NonRec(b.clone(), r.into())),
+                    LetBind::Rec(bs) => {
+                        map_slice(bs, |(b, rhs)| Some((b.clone(), f(rhs)?))).map(LetBind::Rec)
+                    }
+                };
+                let body2 = f(body).map(Arc::new);
+                if bind2.is_none() && body2.is_none() {
+                    return None;
+                }
+                Expr::Let(
+                    bind2.unwrap_or_else(|| bind.clone()),
+                    body2.unwrap_or_else(|| body.clone()),
+                )
+            }
+            Expr::Join(jb, body) => {
+                let jb2 = match jb {
+                    JoinBind::NonRec(d) => map_def(d, &mut f).map(|d| JoinBind::NonRec(d.into())),
+                    JoinBind::Rec(ds) => map_slice(ds, |d| map_def(d, &mut f)).map(JoinBind::Rec),
+                };
+                let body2 = f(body).map(Arc::new);
+                if jb2.is_none() && body2.is_none() {
+                    return None;
+                }
+                Expr::Join(
+                    jb2.unwrap_or_else(|| jb.clone()),
+                    body2.unwrap_or_else(|| body.clone()),
+                )
+            }
+        })
+    }
+
     /// Does the expression contain any `join`/`jump` node? Erasure
     /// (Theorem 5) must produce a term for which this is `false`.
     pub fn has_join_or_jump(&self) -> bool {
@@ -539,6 +623,41 @@ impl Expr {
         });
         found
     }
+}
+
+/// Map `f` over `xs` left to right: `None` when every call returned
+/// `None`, else the whole vector with the untouched elements cloned.
+/// Nothing is allocated before the first change. This and [`map_def`]
+/// are out of line to keep `map_children`'s frame, which every level of
+/// a traversal pays, small.
+#[inline(never)]
+fn map_slice<T: Clone>(xs: &[T], mut f: impl FnMut(&T) -> Option<T>) -> Option<Vec<T>> {
+    let mut out: Option<Vec<T>> = None;
+    for (i, x) in xs.iter().enumerate() {
+        match (f(x), &mut out) {
+            (Some(y), Some(v)) => v.push(y),
+            (Some(y), None) => {
+                let mut v = Vec::with_capacity(xs.len());
+                v.extend_from_slice(&xs[..i]);
+                v.push(y);
+                out = Some(v);
+            }
+            (None, Some(v)) => v.push(x.clone()),
+            (None, None) => {}
+        }
+    }
+    out
+}
+
+/// A join definition with `f` applied to its body.
+#[inline(never)]
+fn map_def(d: &JoinDef, f: &mut impl FnMut(&Expr) -> Option<Expr>) -> Option<JoinDef> {
+    f(&d.body).map(|body| JoinDef {
+        name: d.name.clone(),
+        ty_params: d.ty_params.clone(),
+        params: d.params.clone(),
+        body,
+    })
 }
 
 /// One argument on an application spine (see [`Expr::collect_app_spine`]).
@@ -630,6 +749,185 @@ mod tests {
         let e = Expr::jump(&j, vec![], vec![], Type::Int);
         assert!(e.has_join_or_jump());
         assert!(!Expr::Lit(1).has_join_or_jump());
+    }
+
+    /// One term per variant (both shapes of `let` and `join`), each with
+    /// several children where the variant allows it.
+    fn one_of_each(s: &mut NameSupply) -> Vec<Expr> {
+        let x = b(s, "x");
+        let j = s.fresh("j");
+        let def = |name: &Name, n: i64| JoinDef {
+            name: name.clone(),
+            ty_params: vec![],
+            params: vec![],
+            body: Expr::Lit(n),
+        };
+        let a = s.fresh("a");
+        vec![
+            Expr::var(&x.name),
+            Expr::Lit(0),
+            Expr::prim2(PrimOp::Add, Expr::Lit(1), Expr::Lit(2)),
+            Expr::lam(x.clone(), Expr::Lit(1)),
+            Expr::app(Expr::Lit(1), Expr::Lit(2)),
+            Expr::ty_lam(a, Expr::Lit(1)),
+            Expr::ty_app(Expr::Lit(1), Type::Int),
+            Expr::Con(Ident::new("Pair"), vec![], vec![Expr::Lit(1), Expr::Lit(2)]),
+            Expr::case(
+                Expr::Lit(1),
+                vec![
+                    Alt::simple(AltCon::Lit(0), Expr::Lit(2)),
+                    Alt::simple(AltCon::Default, Expr::Lit(3)),
+                ],
+            ),
+            Expr::let1(x.clone(), Expr::Lit(1), Expr::Lit(2)),
+            Expr::letrec(
+                vec![(x.clone(), Expr::Lit(1)), (b(s, "y"), Expr::Lit(2))],
+                Expr::Lit(3),
+            ),
+            Expr::join1(def(&j, 1), Expr::Lit(2)),
+            Expr::joinrec(vec![def(&j, 1), def(&s.fresh("k"), 2)], Expr::Lit(3)),
+            Expr::jump(&j, vec![], vec![Expr::Lit(1), Expr::Lit(2)], Type::Int),
+        ]
+    }
+
+    /// The `Arc`-held children of a node, including a non-recursive
+    /// join's shared definition (as its body's address).
+    fn arc_children(e: &Expr) -> Vec<*const Expr> {
+        match e {
+            Expr::Lam(_, c) | Expr::TyLam(_, c) | Expr::TyApp(c, _) | Expr::Case(c, _) => {
+                vec![Arc::as_ptr(c)]
+            }
+            Expr::App(f, a) => vec![Arc::as_ptr(f), Arc::as_ptr(a)],
+            Expr::Let(LetBind::NonRec(_, rhs), body) => vec![Arc::as_ptr(rhs), Arc::as_ptr(body)],
+            Expr::Join(JoinBind::NonRec(d), body) => {
+                vec![&d.body as *const Expr, Arc::as_ptr(body)]
+            }
+            Expr::Let(_, body) | Expr::Join(_, body) => vec![Arc::as_ptr(body)],
+            _ => vec![],
+        }
+    }
+
+    fn children(e: &Expr) -> Vec<Expr> {
+        let mut out = Vec::new();
+        assert!(e
+            .map_children(|c| {
+                out.push(c.clone());
+                None
+            })
+            .is_none());
+        out
+    }
+
+    #[test]
+    fn map_children_with_no_change_is_none_for_every_variant() {
+        let mut s = NameSupply::new();
+        for e in one_of_each(&mut s) {
+            let mut calls = 0;
+            let out = e.map_children(|_| {
+                calls += 1;
+                None
+            });
+            assert!(out.is_none(), "{e}");
+            // Every child here is a leaf, so the node has size - 1 of them.
+            assert_eq!(calls, e.size() - 1, "{e}");
+        }
+    }
+
+    #[test]
+    fn map_children_shares_every_untouched_arc_child() {
+        let mut s = NameSupply::new();
+        for e in one_of_each(&mut s) {
+            let kids = children(&e);
+            for target in 0..kids.len() {
+                let mut i = 0;
+                let out = e
+                    .map_children(|_| {
+                        i += 1;
+                        (i - 1 == target).then_some(Expr::Lit(99))
+                    })
+                    .expect("one child changed");
+                let mut expected = kids.clone();
+                expected[target] = Expr::Lit(99);
+                assert_eq!(children(&out), expected, "{e}");
+                let (before, after) = (arc_children(&e), arc_children(&out));
+                let moved = before.iter().zip(&after).filter(|(a, b)| a != b).count();
+                assert!(
+                    moved <= 1,
+                    "{e}: {moved} untouched Arc children were copied"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn map_children_visits_in_evaluation_order() {
+        let mut s = NameSupply::new();
+        let (x, f, g) = (b(&mut s, "x"), b(&mut s, "f"), b(&mut s, "g"));
+        let (j, k) = (s.fresh("j"), s.fresh("k"));
+        // letrec f = λx. x + 1; g = 2
+        // in joinrec j = f 3; k = 4
+        // in case 5 of { 6 → jump j 7; _ → g }
+        let e = Expr::letrec(
+            vec![
+                (
+                    f.clone(),
+                    Expr::lam(
+                        x.clone(),
+                        Expr::prim2(PrimOp::Add, Expr::var(&x.name), Expr::Lit(1)),
+                    ),
+                ),
+                (g.clone(), Expr::Lit(2)),
+            ],
+            Expr::joinrec(
+                vec![
+                    JoinDef {
+                        name: j.clone(),
+                        ty_params: vec![],
+                        params: vec![],
+                        body: Expr::app(Expr::var(&f.name), Expr::Lit(3)),
+                    },
+                    JoinDef {
+                        name: k,
+                        ty_params: vec![],
+                        params: vec![],
+                        body: Expr::Lit(4),
+                    },
+                ],
+                Expr::case(
+                    Expr::Lit(5),
+                    vec![
+                        Alt::simple(
+                            AltCon::Lit(6),
+                            Expr::jump(&j, vec![], vec![Expr::Lit(7)], Type::Int),
+                        ),
+                        Alt::simple(AltCon::Default, Expr::var(&g.name)),
+                    ],
+                ),
+            ),
+        );
+        fn visit(e: &Expr, log: &mut Vec<String>) {
+            let _ = e.map_children(|c| {
+                log.push(match c {
+                    Expr::Lit(n) => n.to_string(),
+                    Expr::Var(v) => v.text().to_string(),
+                    Expr::Lam(..) => "λ".into(),
+                    Expr::Prim(op, _) => op.symbol().into(),
+                    Expr::App(..) => "app".into(),
+                    Expr::Join(..) => "join".into(),
+                    Expr::Case(..) => "case".into(),
+                    Expr::Jump(..) => "jump".into(),
+                    other => panic!("unexpected child {other}"),
+                });
+                visit(c, log);
+                None
+            });
+        }
+        let mut log = Vec::new();
+        visit(&e, &mut log);
+        let expected = [
+            "λ", "+", "x", "1", "2", "join", "app", "f", "3", "4", "case", "5", "jump", "7", "g",
+        ];
+        assert_eq!(log, expected);
     }
 
     #[test]

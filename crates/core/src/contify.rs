@@ -40,7 +40,7 @@ pub fn contify(e: &Expr) -> Expr {
 /// Like [`contify`], also reporting how many bindings were converted.
 pub fn contify_counting(e: &Expr) -> (Expr, usize) {
     let mut converted = 0;
-    let out = go(e, &mut converted);
+    let out = go(e, &mut converted).unwrap_or_else(|| e.clone());
     (out, converted)
 }
 
@@ -91,66 +91,28 @@ fn result_ty(ty: &Type, n_ty: usize, n_val: usize) -> Option<&Type> {
     (!peeled.iter().any(|a| fvs.contains(a))).then_some(t)
 }
 
-fn go(e: &Expr, converted: &mut usize) -> Expr {
+/// Contify below `e`, bottom-up; `None` when nothing below converts.
+fn go(e: &Expr, converted: &mut usize) -> Option<Expr> {
     crate::guard::poll();
-    let mut sub = |e: &Expr| go(e, converted);
-    match e {
-        Expr::Var(_) | Expr::Lit(_) => e.clone(),
-        Expr::Prim(op, args) => Expr::Prim(*op, args.iter().map(&mut sub).collect()),
-        Expr::Con(c, tys, args) => {
-            Expr::Con(c.clone(), tys.clone(), args.iter().map(&mut sub).collect())
+    // Children first: inner contifications can expose outer ones.
+    let mapped = e.map_children(|c| go(c, converted));
+    let Expr::Let(bind, body) = mapped.as_ref().unwrap_or(e) else {
+        return mapped;
+    };
+    match try_contify(bind, body) {
+        Some(joined) => {
+            *converted += 1;
+            Some(joined)
         }
-        Expr::Lam(b, body) => Expr::lam(b.clone(), sub(body)),
-        Expr::TyLam(a, body) => Expr::ty_lam(a.clone(), sub(body)),
-        Expr::App(f, a) => Expr::app(sub(f), sub(a)),
-        Expr::TyApp(f, t) => Expr::ty_app(sub(f), t.clone()),
-        Expr::Case(s, alts) => {
-            let s2 = sub(s);
-            let alts2 = alts
-                .iter()
-                .map(|alt| Alt {
-                    con: alt.con.clone(),
-                    binders: alt.binders.clone(),
-                    rhs: sub(&alt.rhs),
-                })
-                .collect();
-            Expr::case(s2, alts2)
-        }
-        Expr::Join(jb, body) => {
-            let mut jb2 = jb.clone();
-            for d in jb2.defs_mut() {
-                d.body = sub(&d.body);
-            }
-            Expr::Join(jb2, Expr::share(sub(body)))
-        }
-        Expr::Jump(j, tys, args, res) => Expr::Jump(
-            j.clone(),
-            tys.clone(),
-            args.iter().map(&mut sub).collect(),
-            res.clone(),
-        ),
-        Expr::Let(bind, body) => {
-            // Children first: inner contifications can expose outer ones.
-            let bind2 = match bind {
-                LetBind::NonRec(b, rhs) => LetBind::NonRec(b.clone(), Expr::share(sub(rhs))),
-                LetBind::Rec(binds) => {
-                    LetBind::Rec(binds.iter().map(|(b, rhs)| (b.clone(), sub(rhs))).collect())
-                }
-            };
-            let body2 = sub(body);
-            match try_contify(&bind2, &body2) {
-                Some(joined) => {
-                    *converted += 1;
-                    joined
-                }
-                None => Expr::Let(bind2, Expr::share(body2)),
-            }
-        }
+        None => mapped,
     }
 }
 
 /// The `join` that `let bind in body` becomes, or `None` if the group is
 /// not a candidate. Shape and annotation are checked before any walk.
+/// Out of line, so that its locals are not part of every level of the
+/// recursion in `go`.
+#[inline(never)]
 fn try_contify(bind: &LetBind, body: &Expr) -> Option<Expr> {
     let shapes: Vec<(&Binder, FunShape)> = bind
         .pairs()

@@ -26,9 +26,7 @@
 //! another small direct-style dividend.
 
 use fj_ast::FxHashMap;
-use fj_ast::{
-    alpha_fingerprint, free_vars, Alt, Binder, Expr, JoinDef, LetBind, Name, NameSupply, Type,
-};
+use fj_ast::{alpha_fingerprint, free_vars, Binder, Expr, LetBind, Name, NameSupply, Type};
 
 /// Result of running [`cse`]: the rewritten term and how many
 /// subexpressions were deduplicated.
@@ -46,7 +44,7 @@ pub fn cse(e: &Expr, supply: &mut NameSupply) -> CseOutcome {
         supply,
         replaced: 0,
     };
-    let expr = c.go(e, &mut Memo::default());
+    let expr = c.go(e, &mut Memo::default()).unwrap_or_else(|| e.clone());
     CseOutcome {
         expr,
         replaced: c.replaced,
@@ -85,102 +83,59 @@ fn worthwhile(e: &Expr) -> bool {
 }
 
 impl Cse<'_> {
-    #[allow(clippy::too_many_lines)]
-    fn go(&mut self, e: &Expr, memo: &mut Memo) -> Expr {
+    /// CSE below `e`; `None` when nothing below is replaced.
+    fn go(&mut self, e: &Expr, memo: &mut Memo) -> Option<Expr> {
         crate::guard::poll();
         match e {
-            Expr::Var(_) | Expr::Lit(_) => e.clone(),
-            Expr::Prim(op, args) => {
-                // The `f (g x) (g x)` case: equal sizable operands share.
+            // The `f (g x) (g x)` case: equal sizable operands share.
+            Expr::Prim(op, args)
                 if args.len() == 2
                     && worthwhile(&args[0])
-                    && alpha_fingerprint(&args[0]) == alpha_fingerprint(&args[1])
-                {
-                    self.replaced += 1;
-                    let shared = self.go(&args[0], memo);
-                    let b = Binder::new(self.supply.fresh("cse"), Type::Int);
-                    let v = Expr::var(&b.name);
-                    return Expr::let1(b, shared, Expr::Prim(*op, vec![v.clone(), v]));
-                }
-                Expr::Prim(*op, args.iter().map(|a| self.go(a, memo)).collect())
-            }
-            Expr::App(f, a) => Expr::app(self.go(f, memo), self.go(a, memo)),
-            Expr::TyApp(f, t) => Expr::ty_app(self.go(f, memo), t.clone()),
-            Expr::Con(c, tys, args) => Expr::Con(
-                c.clone(),
-                tys.clone(),
-                args.iter().map(|a| self.go(a, memo)).collect(),
-            ),
-            Expr::Lam(b, body) => Expr::lam(b.clone(), self.go(body, memo)),
-            Expr::TyLam(a, body) => Expr::ty_lam(a.clone(), self.go(body, memo)),
-            Expr::Case(s, alts) => {
-                let s2 = self.go(s, memo);
-                let alts2 = alts
-                    .iter()
-                    .map(|alt| Alt {
-                        con: alt.con.clone(),
-                        binders: alt.binders.clone(),
-                        rhs: self.go(&alt.rhs, memo),
-                    })
-                    .collect();
-                Expr::case(s2, alts2)
+                    && alpha_fingerprint(&args[0]) == alpha_fingerprint(&args[1]) =>
+            {
+                self.replaced += 1;
+                let shared = self.go(&args[0], memo).unwrap_or_else(|| args[0].clone());
+                let b = Binder::new(self.supply.fresh("cse"), Type::Int);
+                let v = Expr::var(&b.name);
+                Some(Expr::let1(b, shared, Expr::Prim(*op, vec![v.clone(), v])))
             }
             Expr::Let(LetBind::NonRec(b, rhs), body) => {
-                let rhs2 = self.go(rhs, memo);
-                if worthwhile(&rhs2) {
-                    let fp = alpha_fingerprint(&rhs2);
-                    if let Some((prev, prev_ty)) = memo.map.get(&fp) {
-                        if prev_ty.alpha_eq(&b.ty) {
+                let mut rhs2 = self.go(rhs, memo);
+                let rhs_now = rhs2.as_ref().unwrap_or(rhs);
+                // The memo entry this binding adds for its body, and the
+                // entry it displaces (put back after the body walk: no
+                // whole-map clone per binding).
+                let mut scoped = None;
+                if worthwhile(rhs_now) {
+                    let fp = alpha_fingerprint(rhs_now);
+                    match memo.map.get(&fp) {
+                        Some((prev, prev_ty)) if prev_ty.alpha_eq(&b.ty) => {
                             // let x = E in C[x]  where  E was bound to
                             // `prev` before: rebind x to the variable.
                             self.replaced += 1;
-                            let prev = prev.clone();
-                            let body2 = self.go(body, memo);
-                            return Expr::let1(b.clone(), Expr::var(&prev), body2);
+                            rhs2 = Some(Expr::var(prev));
+                        }
+                        _ => {
+                            // The RHS cannot mention the binder itself:
+                            // the binding is non-recursive.
+                            debug_assert!(!free_vars(rhs_now).contains(&b.name));
+                            let entry = (b.name.clone(), b.ty.clone());
+                            scoped = Some((fp, memo.map.insert(fp, entry)));
                         }
                     }
-                    // Memoize for the body — but only if the RHS doesn't
-                    // mention the binder itself (it can't: non-recursive).
-                    // Scoped mutate-and-restore: insert for the body walk,
-                    // then put back whatever the entry displaced — no
-                    // whole-map clone per binding.
-                    debug_assert!(!free_vars(&rhs2).contains(&b.name));
-                    let displaced = memo.map.insert(fp, (b.name.clone(), b.ty.clone()));
-                    let body2 = self.go(body, memo);
+                }
+                let body2 = self.go(body, memo);
+                if let Some((fp, displaced)) = scoped {
                     match displaced {
-                        Some(prev) => {
-                            memo.map.insert(fp, prev);
-                        }
-                        None => {
-                            memo.map.remove(&fp);
-                        }
-                    }
-                    return Expr::let1(b.clone(), rhs2, body2);
+                        Some(prev) => memo.map.insert(fp, prev),
+                        None => memo.map.remove(&fp),
+                    };
                 }
-                Expr::let1(b.clone(), rhs2, self.go(body, memo))
+                // `map_children` visits the right-hand side, then the body.
+                let mut results = [rhs2, body2].into_iter();
+                e.map_children(|_| results.next().flatten())
             }
-            Expr::Let(LetBind::Rec(binds), body) => {
-                let binds2: Vec<(Binder, Expr)> = binds
-                    .iter()
-                    .map(|(b, rhs)| (b.clone(), self.go(rhs, memo)))
-                    .collect();
-                Expr::letrec(binds2, self.go(body, memo))
-            }
-            Expr::Join(jb, body) => {
-                let mut jb2 = jb.clone();
-                for d in jb2.defs_mut() {
-                    let inner: &JoinDef = d;
-                    let _ = inner;
-                    d.body = self.go(&d.body, memo);
-                }
-                Expr::Join(jb2, Expr::share(self.go(body, memo)))
-            }
-            Expr::Jump(j, tys, args, res) => Expr::Jump(
-                j.clone(),
-                tys.clone(),
-                args.iter().map(|a| self.go(a, memo)).collect(),
-                res.clone(),
-            ),
+            _ => e.map_children(|c| self.go(c, memo)),
         }
     }
 }

@@ -16,7 +16,7 @@
 
 use crate::simplify::{simplify_once, SimplOpts};
 use crate::OptError;
-use fj_ast::{Alt, Binder, DataEnv, Expr, Ident, JoinDef, LetBind, Name, NameSupply, Type};
+use fj_ast::{Binder, DataEnv, Expr, Ident, JoinDef, Name, NameSupply, Type};
 use fj_check::type_of;
 use std::collections::{HashMap, HashSet};
 
@@ -41,8 +41,13 @@ pub fn erase(e: &Expr, data_env: &DataEnv, supply: &mut NameSupply) -> Result<Ex
         supply,
         types: HashMap::new(),
         nullary: HashSet::new(),
+        error: None,
     };
-    let erased = er.go(&norm)?;
+    let erased = er.go(&norm);
+    if let Some(err) = er.error {
+        return Err(err);
+    }
+    let erased = erased.unwrap_or(norm);
     if erased.has_join_or_jump() {
         return Err(OptError::Internal(
             "erasure left a join or jump behind".into(),
@@ -135,6 +140,8 @@ struct Eraser<'a> {
     types: HashMap<Name, Type>,
     /// Labels lowered with a dummy unit parameter.
     nullary: HashSet<Name>,
+    /// The first failure; once set, the walk stops changing anything.
+    error: Option<OptError>,
 }
 
 impl Eraser<'_> {
@@ -142,64 +149,12 @@ impl Eraser<'_> {
         self.types.insert(b.name.clone(), b.ty.clone());
     }
 
-    fn ty_of(&self, e: &Expr) -> Result<Type, OptError> {
-        type_of(e, self.data_env, &self.types).map_err(OptError::Type)
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn go(&mut self, e: &Expr) -> Result<Expr, OptError> {
+    /// Erase below `e`; `None` when `e` has no join point or jump.
+    fn go(&mut self, e: &Expr) -> Option<Expr> {
+        if self.error.is_some() {
+            return None;
+        }
         match e {
-            Expr::Var(_) | Expr::Lit(_) => Ok(e.clone()),
-            Expr::Prim(op, args) => Ok(Expr::Prim(
-                *op,
-                args.iter().map(|a| self.go(a)).collect::<Result<_, _>>()?,
-            )),
-            Expr::Con(c, tys, args) => Ok(Expr::Con(
-                c.clone(),
-                tys.clone(),
-                args.iter().map(|a| self.go(a)).collect::<Result<_, _>>()?,
-            )),
-            Expr::Lam(b, body) => {
-                self.record(b);
-                Ok(Expr::lam(b.clone(), self.go(body)?))
-            }
-            Expr::TyLam(a, body) => Ok(Expr::ty_lam(a.clone(), self.go(body)?)),
-            Expr::App(f, a) => Ok(Expr::app(self.go(f)?, self.go(a)?)),
-            Expr::TyApp(f, t) => Ok(Expr::ty_app(self.go(f)?, t.clone())),
-            Expr::Case(s, alts) => {
-                let s2 = self.go(s)?;
-                let alts2 = alts
-                    .iter()
-                    .map(|alt| {
-                        for b in &alt.binders {
-                            self.record(b);
-                        }
-                        Ok(Alt {
-                            con: alt.con.clone(),
-                            binders: alt.binders.clone(),
-                            rhs: self.go(&alt.rhs)?,
-                        })
-                    })
-                    .collect::<Result<_, OptError>>()?;
-                Ok(Expr::case(s2, alts2))
-            }
-            Expr::Let(bind, body) => {
-                for b in bind.binders() {
-                    self.record(b);
-                }
-                let bind2 = match bind {
-                    LetBind::NonRec(b, rhs) => {
-                        LetBind::NonRec(b.clone(), Expr::share(self.go(rhs)?))
-                    }
-                    LetBind::Rec(binds) => LetBind::Rec(
-                        binds
-                            .iter()
-                            .map(|(b, rhs)| Ok((b.clone(), self.go(rhs)?)))
-                            .collect::<Result<_, OptError>>()?,
-                    ),
-                };
-                Ok(Expr::Let(bind2, Expr::share(self.go(body)?)))
-            }
             Expr::Join(jb, body) => {
                 // The functions' shared result type ρ is the type of the
                 // join body (rule JBIND forces every RHS to match it),
@@ -209,7 +164,13 @@ impl Eraser<'_> {
                         self.record(p);
                     }
                 }
-                let rho = self.ty_of(body)?;
+                let rho = match type_of(body, self.data_env, &self.types) {
+                    Ok(rho) => rho,
+                    Err(err) => {
+                        self.error = Some(OptError::Type(err));
+                        return None;
+                    }
+                };
                 // Declare the group's function types before lowering the
                 // (possibly mutually recursive) right-hand sides.
                 for d in jb.defs() {
@@ -222,16 +183,16 @@ impl Eraser<'_> {
                 let mut let_binds = Vec::with_capacity(jb.defs().len());
                 for d in jb.defs() {
                     let fn_ty = self.types[&d.name].clone();
-                    let rhs = self.lower_def(d)?;
+                    let rhs = self.lower_def(d);
                     let_binds.push((Binder::new(d.name.clone(), fn_ty), rhs));
                 }
-                let body2 = self.go(body)?;
-                if jb.is_rec() {
-                    Ok(Expr::letrec(let_binds, body2))
+                let body2 = self.go_or_keep(body);
+                return Some(if jb.is_rec() {
+                    Expr::letrec(let_binds, body2)
                 } else {
                     let (b, rhs) = let_binds.into_iter().next().expect("nonrec has one def");
-                    Ok(Expr::let1(b, rhs, body2))
-                }
+                    Expr::let1(b, rhs, body2)
+                });
             }
             Expr::Jump(j, tys, args, _) => {
                 let mut call = Expr::var(j);
@@ -242,12 +203,30 @@ impl Eraser<'_> {
                     call = Expr::app(call, unit_val());
                 } else {
                     for a in args {
-                        call = Expr::app(call, self.go(a)?);
+                        call = Expr::app(call, self.go_or_keep(a));
                     }
                 }
-                Ok(call)
+                return Some(call);
             }
+            // Every other node records its binders and erases below.
+            Expr::Lam(b, _) => self.record(b),
+            Expr::Case(_, alts) => {
+                for b in alts.iter().flat_map(|a| &a.binders) {
+                    self.record(b);
+                }
+            }
+            Expr::Let(bind, _) => {
+                for b in bind.binders() {
+                    self.record(b);
+                }
+            }
+            _ => {}
         }
+        e.map_children(|c| self.go(c))
+    }
+
+    fn go_or_keep(&mut self, e: &Expr) -> Expr {
+        self.go(e).unwrap_or_else(|| e.clone())
     }
 
     /// `∀a⃗. σ⃗ → ρ` (with a Unit parameter when σ⃗ is empty).
@@ -265,17 +244,17 @@ impl Eraser<'_> {
     }
 
     /// `Λa⃗. λ(x:σ)⃗. body`, with the dummy unit parameter when needed.
-    fn lower_def(&mut self, d: &JoinDef) -> Result<Expr, OptError> {
-        let body2 = self.go(&d.body)?;
+    fn lower_def(&mut self, d: &JoinDef) -> Expr {
+        let body2 = self.go_or_keep(&d.body);
         let params = if d.params.is_empty() {
             vec![Binder::new(self.supply.fresh("unit"), unit_ty())]
         } else {
             d.params.clone()
         };
         let fun_body = Expr::lams(params, body2);
-        Ok(d.ty_params
+        d.ty_params
             .iter()
             .rev()
-            .fold(fun_body, |acc, a| Expr::ty_lam(a.clone(), acc)))
+            .fold(fun_body, |acc, a| Expr::ty_lam(a.clone(), acc))
     }
 }

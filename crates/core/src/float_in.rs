@@ -20,7 +20,7 @@
 //! * only sinks into a `case` branch when exactly one branch uses the
 //!   binding (sinking into several duplicates code).
 
-use fj_ast::{mentions_any, Alt, Binder, Expr, LetBind, Name};
+use fj_ast::{mentions_any, Expr, LetBind, Name};
 
 /// Apply Float In over a whole term.
 pub fn float_in(e: &Expr) -> Expr {
@@ -33,223 +33,93 @@ pub fn float_in(e: &Expr) -> Expr {
 /// the other counters of [`crate::RewriteStats`]).
 pub fn float_in_counting(e: &Expr) -> (Expr, u64) {
     let mut moved = 0u64;
-    let out = go(e, &mut moved);
+    let out = go(e, &mut moved).unwrap_or_else(|| e.clone());
     (out, moved)
 }
 
-fn go(e: &Expr, moved: &mut u64) -> Expr {
+/// Float In below `e`, bottom-up; `None` when no binding moves.
+fn go(e: &Expr, moved: &mut u64) -> Option<Expr> {
     crate::guard::poll();
-    match e {
-        Expr::Var(_) | Expr::Lit(_) => e.clone(),
-        Expr::Prim(op, args) => Expr::Prim(*op, args.iter().map(|a| go(a, moved)).collect()),
-        Expr::Con(c, tys, args) => Expr::Con(
-            c.clone(),
-            tys.clone(),
-            args.iter().map(|a| go(a, moved)).collect(),
-        ),
-        Expr::Lam(b, body) => Expr::lam(b.clone(), go(body, moved)),
-        Expr::TyLam(a, body) => Expr::ty_lam(a.clone(), go(body, moved)),
-        Expr::App(f, a) => Expr::app(go(f, moved), go(a, moved)),
-        Expr::TyApp(f, t) => Expr::ty_app(go(f, moved), t.clone()),
-        Expr::Case(s, alts) => Expr::case(
-            go(s, moved),
-            alts.iter()
-                .map(|a| Alt {
-                    con: a.con.clone(),
-                    binders: a.binders.clone(),
-                    rhs: go(&a.rhs, moved),
-                })
-                .collect(),
-        ),
-        Expr::Join(jb, body) => {
-            let mut jb2 = jb.clone();
-            for d in jb2.defs_mut() {
-                d.body = go(&d.body, moved);
-            }
-            Expr::Join(jb2, Expr::share(go(body, moved)))
-        }
-        Expr::Jump(j, tys, args, res) => Expr::Jump(
-            j.clone(),
-            tys.clone(),
-            args.iter().map(|a| go(a, moved)).collect(),
-            res.clone(),
-        ),
-        Expr::Let(bind, body) => match bind {
-            LetBind::NonRec(b, rhs) => {
-                let rhs2 = go(rhs, moved);
-                let body2 = go(body, moved);
-                sink(b.clone(), rhs2, body2, moved)
-            }
-            LetBind::Rec(binds) => {
-                let binds2: Vec<(Binder, Expr)> = binds
-                    .iter()
-                    .map(|(b, rhs)| (b.clone(), go(rhs, moved)))
-                    .collect();
-                let body2 = go(body, moved);
-                sink_rec(binds2, body2, moved)
-            }
-        },
-    }
+    let mapped = e.map_children(|c| go(c, moved));
+    let Expr::Let(bind, body) = mapped.as_ref().unwrap_or(e) else {
+        return mapped;
+    };
+    sink(bind, body, moved).or(mapped)
 }
 
-fn uses(e: &Expr, names: &[&Binder]) -> bool {
-    // Short-circuiting occurrence scan — sound under the optimizer's
+/// Push `let bind` as deep into `body` as safely possible; a recursive
+/// group moves intact. `None` when it cannot move at all.
+fn sink(bind: &LetBind, body: &Expr, moved: &mut u64) -> Option<Expr> {
+    // Short-circuiting occurrence scans — sound under the optimizer's
     // globally-unique-binders invariant (see `mentions_any`); no
     // free-variable set is built per query.
-    let names: Vec<Name> = names.iter().map(|b| b.name.clone()).collect();
-    mentions_any(e, &names)
-}
-
-/// Push `let b = rhs` as deep into `body` as safely possible.
-fn sink(b: Binder, rhs: Expr, body: Expr, moved: &mut u64) -> Expr {
-    let names = [&b];
+    let names: Vec<Name> = bind.binders().iter().map(|b| b.name.clone()).collect();
+    let uses = |e: &Expr| mentions_any(e, &names);
+    // Sink one level further down, or stop right here.
+    let mut sink_or_stop = |e: &Expr| {
+        sink(bind, e, moved).unwrap_or_else(|| Expr::Let(bind.clone(), Expr::share(e.clone())))
+    };
     match body {
         // case e of alts: sink into the scrutinee, or into the single
         // branch that uses the binding.
         Expr::Case(s, alts) => {
-            let in_scrut = uses(&s, &names);
+            let in_scrut = uses(s);
             let using: Vec<usize> = alts
                 .iter()
                 .enumerate()
-                .filter(|(_, a)| uses(&a.rhs, &names))
+                .filter(|(_, a)| uses(&a.rhs))
                 .map(|(i, _)| i)
                 .collect();
             if in_scrut && using.is_empty() {
+                let s2 = sink_or_stop(s);
                 *moved += 1;
-                return Expr::case(sink(b, rhs, Expr::unshare(s), moved), alts);
+                return Some(Expr::case(s2, alts.clone()));
             }
-            if !in_scrut && using.len() == 1 {
-                let target = using[0];
-                *moved += 1;
-                let alts2: Vec<Alt> = alts
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, a)| {
-                        if i == target {
-                            Alt {
-                                con: a.con.clone(),
-                                binders: a.binders.clone(),
-                                rhs: sink(b.clone(), rhs.clone(), a.rhs, moved),
-                            }
-                        } else {
-                            a
-                        }
-                    })
-                    .collect();
-                return Expr::case(Expr::unshare(s), alts2);
+            if in_scrut || using.len() != 1 {
+                return None;
             }
-            Expr::let1(b, rhs, Expr::Case(s, alts))
+            let mut alts2 = alts.clone();
+            alts2[using[0]].rhs = sink_or_stop(&alts[using[0]].rhs);
+            *moved += 1;
+            Some(Expr::Case(s.clone(), alts2))
         }
-        // let x = r in body: sink past it when r doesn't use b — but only
-        // when the binding keeps travelling below. Swapping two adjacent
-        // independent bindings is not progress, and committing the swap
-        // unconditionally would flip their order on every pass (the
-        // pipeline would never observe a Float In fixpoint).
+        // let x = r in body: sink past it when r doesn't use the binding —
+        // but only when the binding keeps travelling below. Swapping two
+        // adjacent independent bindings is not progress, and committing
+        // the swap unconditionally would flip their order on every pass
+        // (the pipeline would never observe a Float In fixpoint).
         Expr::Let(bind2, body2) => {
-            let rhs_uses = bind2.pairs().iter().any(|(_, r)| uses(r, &names));
-            if !rhs_uses {
-                let before = *moved;
-                let sunk = sink(b.clone(), rhs.clone(), (*body2).clone(), moved);
-                if *moved > before {
-                    *moved += 1;
-                    return Expr::Let(bind2, Expr::share(sunk));
-                }
+            if bind2.pairs().iter().any(|(_, r)| uses(r)) {
+                return None;
             }
-            Expr::let1(b, rhs, Expr::Let(bind2, body2))
+            let sunk = sink(bind, body2, moved)?;
+            *moved += 1;
+            Some(Expr::Let(bind2.clone(), Expr::share(sunk)))
         }
         // join j … = d in body: sink past the join into its body when the
         // binding isn't used by any definition. Never sink INTO a join
         // definition: a join RHS runs once per jump, so moving work there
         // duplicates it (the same reason we never sink into lambdas).
         Expr::Join(jb, body2) => {
-            let defs_use = jb.defs().iter().any(|d| uses(&d.body, &names));
-            if !defs_use && uses(&body2, &names) {
-                *moved += 1;
-                return Expr::Join(jb, Expr::share(sink(b, rhs, Expr::unshare(body2), moved)));
+            if jb.defs().iter().any(|d| uses(&d.body)) || !uses(body2) {
+                return None;
             }
-            Expr::let1(b, rhs, Expr::Join(jb, body2))
+            let sunk = sink_or_stop(body2);
+            *moved += 1;
+            Some(Expr::Join(jb.clone(), Expr::share(sunk)))
         }
-        // f a: sink into the function part (an evaluation-context hole).
-        // Never into the argument (sharing) and never in a way that could
-        // separate a function from its arguments (un-saturation).
-        Expr::App(f, a) => {
-            if uses(&f, &names) && !uses(&a, &names) && !matches!(&*f, Expr::Var(_)) {
-                *moved += 1;
-                Expr::app(sink(b, rhs, Expr::unshare(f), moved), Expr::unshare(a))
-            } else {
-                Expr::let1(b, rhs, Expr::App(f, a))
-            }
+        // f a: sink a non-recursive binding into the function part (an
+        // evaluation-context hole). Never into the argument (sharing) and
+        // never in a way that could separate a function from its
+        // arguments (un-saturation).
+        Expr::App(f, a)
+            if !bind.is_rec() && uses(f) && !uses(a) && !matches!(&**f, Expr::Var(_)) =>
+        {
+            let f2 = sink_or_stop(f);
+            *moved += 1;
+            Some(Expr::App(Expr::share(f2), a.clone()))
         }
-        other => Expr::let1(b, rhs, other),
-    }
-}
-
-/// Push a recursive group inward (same rules, moving the group intact).
-fn sink_rec(binds: Vec<(Binder, Expr)>, body: Expr, moved: &mut u64) -> Expr {
-    let binders: Vec<&Binder> = binds.iter().map(|(b, _)| b).collect();
-    match body {
-        Expr::Case(s, alts) => {
-            let in_scrut = uses(&s, &binders);
-            let using: Vec<usize> = alts
-                .iter()
-                .enumerate()
-                .filter(|(_, a)| uses(&a.rhs, &binders))
-                .map(|(i, _)| i)
-                .collect();
-            if in_scrut && using.is_empty() {
-                *moved += 1;
-                return Expr::case(sink_rec(binds, Expr::unshare(s), moved), alts);
-            }
-            if !in_scrut && using.len() == 1 {
-                let target = using[0];
-                *moved += 1;
-                let alts2: Vec<Alt> = alts
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, a)| {
-                        if i == target {
-                            Alt {
-                                con: a.con.clone(),
-                                binders: a.binders.clone(),
-                                rhs: sink_rec(binds.clone(), a.rhs, moved),
-                            }
-                        } else {
-                            a
-                        }
-                    })
-                    .collect();
-                return Expr::case(Expr::unshare(s), alts2);
-            }
-            Expr::letrec(binds, Expr::Case(s, alts))
-        }
-        // As in `sink`: only hop past an independent binding when the
-        // group keeps travelling below — a bare order swap is not
-        // progress and would ping-pong between passes.
-        Expr::Let(bind2, body2) => {
-            let rhs_uses = bind2.pairs().iter().any(|(_, r)| uses(r, &binders));
-            if !rhs_uses {
-                let before = *moved;
-                let sunk = sink_rec(binds.clone(), (*body2).clone(), moved);
-                if *moved > before {
-                    *moved += 1;
-                    return Expr::Let(bind2, Expr::share(sunk));
-                }
-            }
-            Expr::letrec(binds, Expr::Let(bind2, body2))
-        }
-        Expr::Join(jb, body2) => {
-            // As in `sink`: never move bindings into join definitions.
-            let defs_use = jb.defs().iter().any(|d| uses(&d.body, &binders));
-            if !defs_use && uses(&body2, &binders) {
-                *moved += 1;
-                return Expr::Join(
-                    jb,
-                    Expr::share(sink_rec(binds, Expr::unshare(body2), moved)),
-                );
-            }
-            Expr::letrec(binds, Expr::Join(jb, body2))
-        }
-        other => Expr::letrec(binds, other),
+        _ => None,
     }
 }
 

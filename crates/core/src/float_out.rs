@@ -11,7 +11,7 @@
 //! This pass therefore only ever moves `let`s, and never moves one out of
 //! a join body (which could turn a tail call shape into a captured one).
 
-use fj_ast::{occurs_free, Alt, Binder, Expr, LetBind};
+use fj_ast::{occurs_free, Expr, LetBind};
 
 /// Apply Float Out over a whole term.
 pub fn float_out(e: &Expr) -> Expr {
@@ -22,88 +22,36 @@ pub fn float_out(e: &Expr) -> Expr {
 /// lambda (for pass-level reporting).
 pub fn float_out_counting(e: &Expr) -> (Expr, u64) {
     let mut hoisted = 0u64;
-    let out = go(e, &mut hoisted);
+    let out = go(e, &mut hoisted).unwrap_or_else(|| e.clone());
     (out, hoisted)
 }
 
-fn go(e: &Expr, hoisted: &mut u64) -> Expr {
+/// Float Out below `e`, bottom-up; `None` when nothing is hoisted.
+fn go(e: &Expr, hoisted: &mut u64) -> Option<Expr> {
     crate::guard::poll();
-    match e {
-        Expr::Var(_) | Expr::Lit(_) => e.clone(),
-        Expr::Prim(op, args) => Expr::Prim(*op, args.iter().map(|a| go(a, hoisted)).collect()),
-        Expr::Con(c, tys, args) => Expr::Con(
-            c.clone(),
-            tys.clone(),
-            args.iter().map(|a| go(a, hoisted)).collect(),
-        ),
-        Expr::Lam(b, body) => {
-            let body2 = go(body, hoisted);
-            let (floated, rest) = split_floatable(body2, b);
-            *hoisted += floated.len() as u64;
-            let mut result = Expr::lam(b.clone(), rest);
-            for (fb, rhs) in floated.into_iter().rev() {
-                result = Expr::let1(fb, rhs, result);
-            }
-            result
-        }
-        Expr::TyLam(a, body) => Expr::ty_lam(a.clone(), go(body, hoisted)),
-        Expr::App(f, a) => Expr::app(go(f, hoisted), go(a, hoisted)),
-        Expr::TyApp(f, t) => Expr::ty_app(go(f, hoisted), t.clone()),
-        Expr::Case(s, alts) => Expr::case(
-            go(s, hoisted),
-            alts.iter()
-                .map(|a| Alt {
-                    con: a.con.clone(),
-                    binders: a.binders.clone(),
-                    rhs: go(&a.rhs, hoisted),
-                })
-                .collect(),
-        ),
-        Expr::Let(bind, body) => {
-            let bind2 = match bind {
-                LetBind::NonRec(b, rhs) => {
-                    LetBind::NonRec(b.clone(), Expr::share(go(rhs, hoisted)))
-                }
-                LetBind::Rec(binds) => LetBind::Rec(
-                    binds
-                        .iter()
-                        .map(|(b, rhs)| (b.clone(), go(rhs, hoisted)))
-                        .collect(),
-                ),
-            };
-            Expr::Let(bind2, Expr::share(go(body, hoisted)))
-        }
-        Expr::Join(jb, body) => {
-            // Join bindings are never moved; recurse inside only.
-            let mut jb2 = jb.clone();
-            for d in jb2.defs_mut() {
-                d.body = go(&d.body, hoisted);
-            }
-            Expr::Join(jb2, Expr::share(go(body, hoisted)))
-        }
-        Expr::Jump(j, tys, args, res) => Expr::Jump(
-            j.clone(),
-            tys.clone(),
-            args.iter().map(|a| go(a, hoisted)).collect(),
-            res.clone(),
-        ),
-    }
-}
-
-/// Peel leading non-recursive `let`s off a lambda body when their RHS
-/// doesn't use the lambda binder; return (hoisted bindings, rest).
-fn split_floatable(body: Expr, lam_binder: &Binder) -> (Vec<(Binder, Expr)>, Expr) {
+    let mapped = e.map_children(|c| go(c, hoisted));
+    let Expr::Lam(b, body) = mapped.as_ref().unwrap_or(e) else {
+        return mapped;
+    };
+    // Peel the leading non-recursive `let`s whose right-hand sides do not
+    // use the lambda's binder.
     let mut floated = Vec::new();
-    let mut cur = body;
-    loop {
-        match cur {
-            Expr::Let(LetBind::NonRec(b, rhs), inner) if !occurs_free(&lam_binder.name, &rhs) => {
-                floated.push((b, Expr::unshare(rhs)));
-                cur = Expr::unshare(inner);
-            }
-            other => return (floated, other),
+    let mut rest = body;
+    while let Expr::Let(LetBind::NonRec(fb, rhs), inner) = &**rest {
+        if occurs_free(&b.name, rhs) {
+            break;
         }
+        floated.push((fb, rhs));
+        rest = inner;
     }
+    if floated.is_empty() {
+        return mapped;
+    }
+    *hoisted += floated.len() as u64;
+    let lam = Expr::Lam(b.clone(), rest.clone());
+    Some(floated.into_iter().rev().fold(lam, |acc, (fb, rhs)| {
+        Expr::Let(LetBind::NonRec(fb.clone(), rhs.clone()), Expr::share(acc))
+    }))
 }
 
 #[cfg(test)]

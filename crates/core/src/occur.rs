@@ -34,13 +34,6 @@ pub struct OccInfo {
     pub under_lambda: bool,
 }
 
-impl OccInfo {
-    /// Is it safe (work-wise) to inline a once-used binding?
-    pub fn inline_once_safe(&self) -> bool {
-        self.count == OccCount::Once && !self.under_lambda
-    }
-}
-
 /// Occurrence map for every variable and label in a term.
 ///
 /// Binders the analysis walked past get an entry even at zero occurrences;
@@ -196,7 +189,6 @@ mod tests {
         let info = m.info(&x);
         assert_eq!(info.count, OccCount::Once);
         assert!(info.under_lambda);
-        assert!(!info.inline_once_safe());
     }
 
     #[test]

@@ -961,7 +961,7 @@ mod resilient {
 /// reference-count bump below the root rather than a deep copy.
 mod sharing {
     use super::{modes, null_program, FUEL};
-    use crate::{optimize_resilient, OptConfig, PassTap};
+    use crate::{apply_pass, optimize, optimize_resilient, OptConfig, Pass, PassTap, SimplOpts};
     use fj_ast::{alpha_eq, Expr};
     use fj_eval::run;
     use std::sync::Arc;
@@ -1004,6 +1004,30 @@ mod sharing {
             assert_eq!(
                 run(&program, mode, FUEL).unwrap().value,
                 run(&out, mode, FUEL).unwrap().value
+            );
+        }
+    }
+
+    #[test]
+    fn a_pass_that_changes_nothing_returns_the_input_subtrees() {
+        let mut d = fj_ast::Dsl::new();
+        let (_, program) = null_program(&mut d);
+        let cfg = OptConfig::join_points();
+        let optimized = optimize(&program, &d.data_env, &mut d.supply, &cfg).unwrap();
+        for pass in [Pass::Contify, Pass::FloatIn, Pass::FloatOut, Pass::Cse] {
+            let (out, rewrites, changed) = apply_pass(
+                &optimized,
+                &d.data_env,
+                &mut d.supply,
+                pass,
+                &SimplOpts::default(),
+            )
+            .unwrap();
+            assert!(!changed, "{} changed a fixpoint: {rewrites:?}", pass.name());
+            assert!(
+                Arc::ptr_eq(lam_body(&optimized), lam_body(&out)),
+                "{} copied a term it did not change",
+                pass.name()
             );
         }
     }

@@ -4,7 +4,9 @@
 use crate::{
     format_report, measure, programs, run_program, run_program_with_reports, summarize, Suite,
 };
-use fj_core::OptConfig;
+use fj_ast::{Expr, JoinBind, LetBind};
+use fj_core::{apply_pass, optimize, OptConfig, Pass, SimplOpts};
+use std::sync::Arc;
 
 /// EXPERIMENTS.md's T1 table: `(program, baseline allocs, join-points
 /// allocs)` for every program in the suite.
@@ -324,4 +326,82 @@ fn fusion_series_shapes() {
         .metrics
         .total_allocs();
     assert!(b2 > b1 * 2, "baseline must scale with n: {b1} vs {b2}");
+}
+
+/// The first `Arc`-held subterm on every path down from the root: what a
+/// pass that changed nothing must hand back as it was. (A recursive
+/// group's right-hand sides and a case's alternatives are held inline,
+/// so the walk looks through them.)
+fn top_arcs(e: &Expr, out: &mut Vec<*const Expr>) {
+    match e {
+        Expr::Var(_) | Expr::Lit(_) => {}
+        Expr::Lam(_, c) | Expr::TyLam(_, c) | Expr::TyApp(c, _) => out.push(Arc::as_ptr(c)),
+        Expr::App(f, a) => out.extend([Arc::as_ptr(f), Arc::as_ptr(a)]),
+        Expr::Prim(_, args) | Expr::Con(_, _, args) | Expr::Jump(_, _, args, _) => {
+            args.iter().for_each(|a| top_arcs(a, out));
+        }
+        Expr::Case(s, alts) => {
+            out.push(Arc::as_ptr(s));
+            alts.iter().for_each(|a| top_arcs(&a.rhs, out));
+        }
+        Expr::Let(LetBind::NonRec(_, rhs), body) => {
+            out.extend([Arc::as_ptr(rhs), Arc::as_ptr(body)]);
+        }
+        Expr::Let(LetBind::Rec(binds), body) => {
+            binds.iter().for_each(|(_, rhs)| top_arcs(rhs, out));
+            out.push(Arc::as_ptr(body));
+        }
+        Expr::Join(JoinBind::NonRec(def), body) => {
+            out.extend([std::ptr::from_ref(&def.body), Arc::as_ptr(body)]);
+        }
+        Expr::Join(JoinBind::Rec(defs), body) => {
+            defs.iter().for_each(|d| top_arcs(&d.body, out));
+            out.push(Arc::as_ptr(body));
+        }
+    }
+}
+
+/// Contify, Float In, Float Out and CSE, run once more over each
+/// join-points-optimized program: every run that reports no change hands
+/// back the input's own subtrees instead of a copy.
+#[test]
+fn unchanged_pass_runs_share_the_input_subtrees() {
+    let mut unchanged = 0;
+    for p in programs() {
+        let mut l = fj_surface::compile(p.source).expect("compiles");
+        let opt = optimize(
+            &l.expr,
+            &l.data_env,
+            &mut l.supply,
+            &OptConfig::join_points(),
+        )
+        .expect("optimizes");
+        let mut before = Vec::new();
+        top_arcs(&opt, &mut before);
+        assert!(!before.is_empty(), "{}: no shared root children", p.name);
+        for pass in [Pass::Contify, Pass::FloatIn, Pass::FloatOut, Pass::Cse] {
+            let (out, _, changed) = apply_pass(
+                &opt,
+                &l.data_env,
+                &mut l.supply,
+                pass,
+                &SimplOpts::default(),
+            )
+            .expect("pass runs");
+            if changed {
+                continue;
+            }
+            unchanged += 1;
+            let mut after = Vec::new();
+            top_arcs(&out, &mut after);
+            assert_eq!(
+                before,
+                after,
+                "{} [{}]: an unchanged run copied the input",
+                p.name,
+                pass.name()
+            );
+        }
+    }
+    assert!(unchanged > 0, "no pass run left a program unchanged");
 }

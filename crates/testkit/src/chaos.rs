@@ -17,7 +17,7 @@
 //! the server's counters afterwards.
 
 use crate::rng::SplitMix64;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -286,15 +286,6 @@ pub fn honest_client(
         }
     }
     Ok((ok, overloaded, other))
-}
-
-/// Drain whatever remains and close. Used by tests that want an orderly
-/// goodbye after an episode barrage.
-pub fn drain_and_close(stream: TcpStream) {
-    let mut stream = stream;
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let mut sink = [0u8; 512];
-    while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@
 //! | cache-cold vs strict    | a cold [`OptCache`] compile verifies     |
 //! | cache-hit vs cache-cold | the hit is served and α-equal            |
 //! | machine-unopt vs -opt   | optimization preserves the value         |
+//! | optimized vs erased     | Thm. 5: join-free, lints, same value     |
 //! | machine vs vm           | same value **and** allocation counters   |
 //! | vm-unfused vs vm-fused  | superinstruction fusion preserves both   |
 //!
@@ -36,11 +37,11 @@ use crate::gen::{build_closed, gen, G};
 use crate::rng::SplitMix64;
 use crate::saboteur::{saboteur, Sabotage};
 use crate::shrink::{shrink, DEFAULT_SHRINK_BUDGET};
-use fj_ast::alpha_eq;
+use fj_ast::{alpha_eq, DataEnv, Expr};
 use fj_core::{
-    optimize_cached, optimize_resilient, optimize_with_report, par_map, OptCache, OptConfig,
+    erase, optimize_cached, optimize_resilient, optimize_with_report, par_map, OptCache, OptConfig,
 };
-use fj_eval::EvalMode;
+use fj_eval::{EvalMode, Value};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -371,6 +372,11 @@ pub fn check_routes(cfg: &FarmConfig, g: &G, seed: u64) -> Result<bool, (RoutePa
         ));
     }
 
+    // optimized vs erased: Thm. 5's erasure of the optimized term.
+    let erased = erase(&strict_out, &d.data_env, &mut strict_supply)
+        .map_err(|err| (("optimized", "erased"), format!("erasure failed: {err}")))?;
+    check_erased(cfg, &erased, &d.data_env, &optimized.value)?;
+
     // machine vs vm: same value, same allocation counters, on the
     // optimized term. The VM's fuel unit is instructions (~10× machine
     // transitions).
@@ -452,6 +458,37 @@ pub fn check_routes(cfg: &FarmConfig, g: &G, seed: u64) -> Result<bool, (RoutePa
     }
 
     Ok(joins)
+}
+
+/// The optimized-vs-erased oracle: `erased` must contain no join point
+/// or jump, must lint, and must run by value, under the farm's fuel and
+/// deadline, to `expected`, the optimized term's value.
+fn check_erased(
+    cfg: &FarmConfig,
+    erased: &Expr,
+    data_env: &DataEnv,
+    expected: &Value,
+) -> Result<(), (RoutePair, String)> {
+    let fail = |msg: String| Err((("optimized", "erased"), format!("{msg}\nerased:\n{erased}")));
+    if erased.has_join_or_jump() {
+        return fail("erasure left a join or jump behind".into());
+    }
+    if let Err(err) = fj_check::lint(erased, data_env) {
+        return fail(format!("the erased term is ill-typed: {err}"));
+    }
+    match fj_eval::run_with_limits(
+        erased,
+        EvalMode::CallByValue,
+        cfg.fuel,
+        Some(cfg.exec_deadline),
+    ) {
+        Err(err) => fail(format!("the erased term failed to run: {err}")),
+        Ok(out) if out.value != *expected => fail(format!(
+            "erasure changed the value: {expected} optimized, {} erased",
+            out.value
+        )),
+        Ok(_) => Ok(()),
+    }
 }
 
 /// Per-case outcome, before aggregation.
@@ -685,6 +722,36 @@ mod tests {
             sizeable >= 3,
             "only {sizeable} sizeable failures; the ratio bar was barely exercised"
         );
+    }
+
+    #[test]
+    fn erased_route_reports_planted_faults() {
+        use fj_ast::{Dsl, JoinDef, PrimOp, Type};
+        let mut d = Dsl::new();
+        let j = d.name("j");
+        let expected = Value::Int(3);
+        let leftover_jump = Expr::join1(
+            JoinDef {
+                name: j.clone(),
+                ty_params: vec![],
+                params: vec![],
+                body: Expr::Lit(3),
+            },
+            Expr::jump(&j, vec![], vec![], Type::Int),
+        );
+        let ill_typed = Expr::prim2(PrimOp::Add, Expr::Lit(3), Expr::bool(true));
+        let wrong_value = Expr::Lit(4);
+        for (fault, bad, needle) in [
+            ("leftover jump", leftover_jump, "join or jump"),
+            ("ill-typed term", ill_typed, "ill-typed"),
+            ("wrong value", wrong_value, "changed the value"),
+        ] {
+            let (routes, message) =
+                check_erased(&quick(1), &bad, &d.data_env, &expected).expect_err(fault);
+            assert_eq!(routes, ("optimized", "erased"), "{fault}: {message}");
+            assert!(message.contains(needle), "{fault}: {message}");
+        }
+        assert!(check_erased(&quick(1), &Expr::Lit(3), &d.data_env, &expected).is_ok());
     }
 
     #[test]

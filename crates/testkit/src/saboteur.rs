@@ -67,12 +67,6 @@ impl Sabotage {
             Sabotage::InjectSpin => "inject-spin",
         }
     }
-
-    /// Does this mode corrupt the output term (as opposed to panicking or
-    /// spinning)?
-    pub fn corrupts_term(self) -> bool {
-        !matches!(self, Sabotage::InjectPanic | Sabotage::InjectSpin)
-    }
 }
 
 /// Shared view of how many faults a [`Saboteur`] actually injected.
@@ -141,7 +135,7 @@ pub fn corrupt(e: &Expr, mode: Sabotage, rng: &mut SplitMix64) -> Option<Expr> {
     let unique = unique_binders(e);
     let total = {
         let mut n = 0usize;
-        visit(e, &mut |node| {
+        e.walk(&mut |node| {
             if eligible(node, mode, &unique) {
                 n += 1;
             }
@@ -163,7 +157,7 @@ pub fn corrupt(e: &Expr, mode: Sabotage, rng: &mut SplitMix64) -> Option<Expr> {
         }
         node
     });
-    // `map_expr` is bottom-up while `visit` is top-down, so re-count if
+    // `map_expr` is bottom-up while `walk` is top-down, so re-count if
     // nothing fired (candidate orders differ); fall back to the first.
     if seen <= target {
         seen = 0;
@@ -294,79 +288,10 @@ fn orphan_name(rng: &mut SplitMix64) -> Name {
     Name::with_id("sabotaged", 0xFAB0_0000_0000_0000u64 | rng.below(1 << 32))
 }
 
-/// Top-down visit of every sub-expression (matches [`Expr::walk`]).
-fn visit(e: &Expr, f: &mut impl FnMut(&Expr)) {
-    e.walk(f);
-}
-
 /// Bottom-up structural map: rebuild every node, passing it through `f`.
 fn map_expr(e: &Expr, f: &mut impl FnMut(Expr) -> Expr) -> Expr {
-    let rebuilt = match e {
-        Expr::Var(_) | Expr::Lit(_) => e.clone(),
-        Expr::Prim(op, args) => Expr::Prim(*op, args.iter().map(|a| map_expr(a, f)).collect()),
-        Expr::Lam(b, body) => Expr::Lam(b.clone(), Expr::share(map_expr(body, f))),
-        Expr::App(a, b) => Expr::App(Expr::share(map_expr(a, f)), Expr::share(map_expr(b, f))),
-        Expr::TyLam(a, body) => Expr::TyLam(a.clone(), Expr::share(map_expr(body, f))),
-        Expr::TyApp(a, t) => Expr::TyApp(Expr::share(map_expr(a, f)), t.clone()),
-        Expr::Con(c, tys, args) => Expr::Con(
-            c.clone(),
-            tys.clone(),
-            args.iter().map(|a| map_expr(a, f)).collect(),
-        ),
-        Expr::Case(s, alts) => Expr::Case(
-            Expr::share(map_expr(s, f)),
-            alts.iter()
-                .map(|alt| fj_ast::Alt {
-                    con: alt.con.clone(),
-                    binders: alt.binders.clone(),
-                    rhs: map_expr(&alt.rhs, f),
-                })
-                .collect(),
-        ),
-        Expr::Let(bind, body) => {
-            let bind = match bind {
-                LetBind::NonRec(b, rhs) => {
-                    LetBind::NonRec(b.clone(), Expr::share(map_expr(rhs, f)))
-                }
-                LetBind::Rec(bs) => LetBind::Rec(
-                    bs.iter()
-                        .map(|(b, rhs)| (b.clone(), map_expr(rhs, f)))
-                        .collect(),
-                ),
-            };
-            Expr::Let(bind, Expr::share(map_expr(body, f)))
-        }
-        Expr::Join(jb, body) => {
-            let jb = match jb {
-                fj_ast::JoinBind::NonRec(d) => {
-                    fj_ast::JoinBind::NonRec(std::sync::Arc::new(fj_ast::JoinDef {
-                        name: d.name.clone(),
-                        ty_params: d.ty_params.clone(),
-                        params: d.params.clone(),
-                        body: map_expr(&d.body, f),
-                    }))
-                }
-                fj_ast::JoinBind::Rec(ds) => fj_ast::JoinBind::Rec(
-                    ds.iter()
-                        .map(|d| fj_ast::JoinDef {
-                            name: d.name.clone(),
-                            ty_params: d.ty_params.clone(),
-                            params: d.params.clone(),
-                            body: map_expr(&d.body, f),
-                        })
-                        .collect(),
-                ),
-            };
-            Expr::Join(jb, Expr::share(map_expr(body, f)))
-        }
-        Expr::Jump(j, tys, args, ty) => Expr::Jump(
-            j.clone(),
-            tys.clone(),
-            args.iter().map(|a| map_expr(a, f)).collect(),
-            ty.clone(),
-        ),
-    };
-    f(rebuilt)
+    let node = e.map_children(|c| Some(map_expr(c, f)));
+    f(node.unwrap_or_else(|| e.clone()))
 }
 
 #[cfg(test)]

@@ -77,6 +77,29 @@ pub struct Vm<'p> {
     frames: Vec<FrameV>,
     base: usize,
     empty_fields: Rc<Vec<VmValue>>,
+    /// Every cell a `LetRec` allocated. Backpatching makes each one part
+    /// of a reference cycle, which `Drop` breaks when the run ends.
+    rec_cells: Vec<VmValue>,
+}
+
+impl Drop for Vm<'_> {
+    fn drop(&mut self) {
+        for cell in &self.rec_cells {
+            let (env, memo) = match cell {
+                VmValue::Closure(c) => (&c.env, None),
+                VmValue::Thunk(t) => (&t.env, Some(&t.state)),
+                _ => continue,
+            };
+            // Every borrow of a cell ends with the frame that took it, so
+            // these never fail; the `try_` forms keep `drop` panic-free.
+            if let Ok(mut env) = env.try_borrow_mut() {
+                env.clear();
+            }
+            if let Some(Ok(mut memo)) = memo.map(RefCell::try_borrow_mut) {
+                *memo = ThunkState::Pending;
+            }
+        }
+    }
 }
 
 /// Run a compiled program to a deeply forced value.
@@ -141,6 +164,7 @@ impl<'p> Vm<'p> {
             frames: Vec::with_capacity(64),
             base: 0,
             empty_fields: Rc::new(Vec::new()),
+            rec_cells: Vec::new(),
         }
     }
 
@@ -297,11 +321,13 @@ impl<'p> Vm<'p> {
                             .iter()
                             .map(|&i| self.env[self.base + i as usize].clone())
                             .collect();
-                        match &self.env[group_base + k] {
+                        let cell = &self.env[group_base + k];
+                        match cell {
                             VmValue::Closure(c) => *c.env.borrow_mut() = vals,
                             VmValue::Thunk(t) => *t.env.borrow_mut() = vals,
                             _ => unreachable!("phase 1 pushed a cell here"),
                         }
+                        self.rec_cells.push(cell.clone());
                     }
                 }
                 Op::Bind { charge_let } => {

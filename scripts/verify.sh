@@ -58,6 +58,14 @@ if [[ "$QUICK" -eq 0 ]]; then
   echo '==> RUSTFLAGS="-C debug-assertions=on" cargo test -p fj-vm --release --offline -q'
   env RUSTFLAGS="-C debug-assertions=on" cargo test -p fj-vm --release --offline -q
   run cargo build --workspace --release --offline
+  # The README's worked examples drive the optimizer and erasure through
+  # the library API; each must run to completion (any non-zero exit
+  # fails the gate).
+  for ex in examples/*.rs; do
+    name="$(basename "$ex" .rs)"
+    echo "==> cargo run -q --release --offline --example $name"
+    cargo run -q --release --offline --example "$name" >/dev/null
+  done
   # The headline acceptance check: the report must render, and the
   # join-points pipeline must win on the contification-sensitive rows
   # (asserted in detail by the fj-nofib test suite; this is the smoke

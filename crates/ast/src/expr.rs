@@ -27,8 +27,9 @@
 //! Contification, Float In, Float Out, CSE and erasure are written that
 //! way, so a run of one of them that changes nothing allocates nothing.
 //! The simplifier still rebuilds every node it visits. `Arc` rather than
-//! `Rc` because terms cross threads: `optimize_many` fans whole pipelines
-//! out over a pool, and the compile service's workers share cached terms.
+//! `Rc` because terms cross threads: the compile service's batch
+//! `compile` fans whole pipelines out over `par_map`, and its worker pool
+//! shares cached terms.
 //!
 //! [`Expr::map_children`] visits children in evaluation order: function
 //! before argument, scrutinee before alternatives, right-hand sides

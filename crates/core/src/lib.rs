@@ -84,7 +84,7 @@ pub use erase::{erase, is_commuting_normal};
 pub use float_in::{float_in, float_in_counting};
 pub use float_out::{float_out, float_out_counting};
 pub use guard::{panic_message, quiet_panics, PassCtx, PassResult, PassTap, RollbackReason};
-pub use par::{optimize_many, par_map, par_threads, BoundedQueue};
+pub use par::{par_map, BoundedQueue};
 pub use pipeline::{
     apply_pass, optimize, optimize_resilient, optimize_with_report, OptConfig, Pass,
 };

@@ -1,18 +1,14 @@
-//! Parallel batch compilation: `optimize_many` and the `par_map` work
-//! queue underneath it.
+//! Dependency-free parallel machinery: the `par_map` work queue and the
+//! `BoundedQueue` under `fj serve`'s worker pool.
 //!
-//! Per-program optimization is embarrassingly parallel — each job carries
-//! its own term, datatype environment, and [`NameSupply`] — so a fixed
-//! pool of scoped threads pulling indices off an atomic counter is all
-//! the machinery needed. The workspace builds offline, so this is a
-//! dependency-free stand-in for a rayon `par_iter`: same work-stealing
-//! effect for the coarse-grained jobs we have (one job = one whole
-//! pipeline run), none of the registry.
+//! `par_map` backs the compile service's batch `compile` (one served
+//! compile per program) and the fuzz farm (one generated case per job).
+//! Those jobs are coarse and independent — each carries its own term,
+//! datatype environment, and name supply — so a fixed pool of scoped
+//! threads pulling indices off an atomic counter is all the machinery
+//! needed. The workspace builds offline, so this stands in for a rayon
+//! `par_iter`: the same work-stealing effect, none of the registry.
 
-use crate::pipeline::{optimize_with_report, OptConfig};
-use crate::stats::PipelineReport;
-use crate::OptError;
-use fj_ast::{DataEnv, Expr, NameSupply};
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -196,32 +192,6 @@ where
                 .expect("par_map: worker left a hole")
         })
         .collect()
-}
-
-/// How many workers [`par_map`] would use for a batch of `jobs` items.
-pub fn par_threads(jobs: usize) -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(jobs)
-        .max(1)
-}
-
-/// Optimize a batch of independent programs in parallel, one pipeline
-/// run per job, preserving input order.
-///
-/// Each job is `(term, datatype environment, name supply)` — the supply
-/// is per-program (lowering already positions it past all program
-/// names), which is what makes the batch embarrassingly parallel. This
-/// is the driver behind `fj bench --phase optimize` and the batch modes
-/// of the differential suites.
-pub fn optimize_many(
-    jobs: Vec<(Expr, DataEnv, NameSupply)>,
-    cfg: &OptConfig,
-) -> Vec<Result<(Expr, PipelineReport), OptError>> {
-    par_map(jobs, |(e, data_env, mut supply)| {
-        optimize_with_report(&e, &data_env, &mut supply, cfg)
-    })
 }
 
 #[cfg(test)]

@@ -4,16 +4,15 @@
 //! The candle is the "distance from hardware" reference for the VM: the
 //! same algorithm a Rust programmer would write by hand (Vec for lists,
 //! enums for data types, recursion for recursion), compiled by rustc to
-//! native code. `vm_ns / candle_ns` in `BENCH_vm.json` is therefore the
-//! interpreter's overhead over the hardware ceiling, not a comparison
-//! of different algorithms.
+//! native code. `vm exec / candle` in `fj report`'s backend table is
+//! therefore the interpreter's overhead over the hardware ceiling, not a
+//! comparison of different algorithms.
 //!
-//! Every candle's value is asserted against the VM's result on each
-//! `fj bench` run (and in tests), so the ports cannot drift. Integer
+//! Every candle's value is asserted against the program's result on each
+//! `fj report` run, in tests and in the benchmark's references, so the
+//! ports cannot drift. Integer
 //! semantics match [`fj_ast::PrimOp::eval`]: `i64` with wrapping
 //! arithmetic and Rust's truncating `/` and `%`.
-
-use std::time::{Duration, Instant};
 
 /// A candle: a native function computing one benchmark's `main` value.
 pub type Candle = fn() -> i64;
@@ -53,26 +52,6 @@ pub fn candle(name: &str) -> Option<Candle> {
         "fannkuch-redux" => fannkuch,
         _ => return None,
     })
-}
-
-/// Time a candle adaptively: quadruple the repetition count until at
-/// least 200µs have elapsed, then report `(value, elapsed / reps)`.
-/// `black_box` keeps rustc from folding the benchmark away.
-#[must_use]
-pub fn time_candle(f: Candle) -> (i64, Duration) {
-    let mut reps: u32 = 1;
-    loop {
-        let start = Instant::now();
-        let mut value = 0i64;
-        for _ in 0..reps {
-            value = std::hint::black_box(f)();
-        }
-        let elapsed = start.elapsed();
-        if elapsed >= Duration::from_micros(200) || reps >= 1 << 20 {
-            return (std::hint::black_box(value), elapsed / reps);
-        }
-        reps *= 4;
-    }
 }
 
 // ---------------------------------------------------------------------

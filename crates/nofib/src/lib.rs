@@ -34,9 +34,11 @@ pub mod candles;
 pub mod fusion_exp;
 pub mod vm_ops;
 
-use fj_core::{optimize, optimize_with_report, OptConfig, PipelineReport};
+use fj_ast::Expr;
+use fj_core::{optimize_with_report, OptConfig, PipelineReport};
 use fj_eval::{run, EvalMode, Metrics, Value};
 use fj_surface::compile;
+use std::time::{Duration, Instant};
 
 /// Which NoFib suite a program belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -117,54 +119,35 @@ impl Backend {
             _ => None,
         }
     }
-
-    /// Run a lowered term by value with the backend's default budget.
-    ///
-    /// # Errors
-    ///
-    /// The backend's own error, stringified (the two backends have
-    /// distinct error types; callers only report them).
-    pub fn run(self, e: &fj_ast::Expr) -> Result<fj_eval::Outcome, String> {
-        match self {
-            Backend::Machine => run(e, EvalMode::CallByValue, FUEL).map_err(|e| e.to_string()),
-            Backend::Vm => fj_vm::run(e, EvalMode::CallByValue, VM_FUEL).map_err(|e| e.to_string()),
-        }
-    }
 }
 
 /// Compile, lint, and optimize a benchmark source under a pipeline,
-/// returning the lowered term ready for either backend.
+/// returning the optimized term, ready for either backend, and the
+/// optimizer's per-pass [`PipelineReport`] (rewrite counters, censuses,
+/// wall times).
 ///
 /// # Panics
 ///
-/// As [`measure`] — benchmarks are expected to be well-formed.
-pub fn lower(source: &str, cfg: &OptConfig) -> fj_ast::Expr {
+/// Panics on compile, lint, or optimize errors — benchmarks are expected
+/// to be well-formed; a failure is a harness bug worth a loud stop.
+pub fn lower(source: &str, cfg: &OptConfig) -> (Expr, PipelineReport) {
     let mut lowered = compile(source).unwrap_or_else(|e| panic!("compile: {e}"));
     fj_check::lint(&lowered.expr, &lowered.data_env)
         .unwrap_or_else(|e| panic!("lint: {e}\n{}", lowered.expr));
-    optimize(&lowered.expr, &lowered.data_env, &mut lowered.supply, cfg)
+    optimize_with_report(&lowered.expr, &lowered.data_env, &mut lowered.supply, cfg)
         .unwrap_or_else(|e| panic!("optimize: {e}"))
 }
 
-/// As [`measure`], on a chosen backend, also timing the run itself
-/// (compilation and optimization excluded).
+/// Run an optimized benchmark by value on the Fig. 3 machine, returning
+/// the integer result with metrics.
 ///
 /// # Panics
 ///
-/// As [`measure`].
-pub fn measure_backend(
-    source: &str,
-    cfg: &OptConfig,
-    backend: Backend,
-) -> (i64, Metrics, std::time::Duration) {
-    let out = lower(source, cfg);
-    let start = std::time::Instant::now();
-    let o = backend
-        .run(&out)
-        .unwrap_or_else(|e| panic!("{} eval: {e}\n{out}", backend.name()));
-    let wall = start.elapsed();
+/// On a machine error, or if `main` does not return an `Int`.
+fn run_machine(e: &Expr) -> (i64, Metrics) {
+    let o = run(e, EvalMode::CallByValue, FUEL).unwrap_or_else(|err| panic!("eval: {err}\n{e}"));
     match o.value {
-        Value::Int(n) => (n, o.metrics, wall),
+        Value::Int(n) => (n, o.metrics),
         other => panic!("benchmark main must return Int, got {other}"),
     }
 }
@@ -196,40 +179,9 @@ impl Row {
 ///
 /// # Panics
 ///
-/// Panics on compile, lint, optimize, or machine errors — benchmarks are
-/// expected to be well-formed; a failure is a harness bug worth a loud
-/// stop.
+/// As [`lower`], and on machine errors.
 pub fn measure(source: &str, cfg: &OptConfig) -> (i64, Metrics) {
-    let mut lowered = compile(source).unwrap_or_else(|e| panic!("compile: {e}"));
-    fj_check::lint(&lowered.expr, &lowered.data_env)
-        .unwrap_or_else(|e| panic!("lint: {e}\n{}", lowered.expr));
-    let out = optimize(&lowered.expr, &lowered.data_env, &mut lowered.supply, cfg)
-        .unwrap_or_else(|e| panic!("optimize: {e}"));
-    let o = run(&out, EvalMode::CallByValue, FUEL).unwrap_or_else(|e| panic!("eval: {e}\n{out}"));
-    match o.value {
-        Value::Int(n) => (n, o.metrics),
-        other => panic!("benchmark main must return Int, got {other}"),
-    }
-}
-
-/// As [`measure`], also returning the optimizer's per-pass
-/// [`PipelineReport`] (rewrite counters, censuses, wall times).
-///
-/// # Panics
-///
-/// As [`measure`].
-pub fn measure_with_report(source: &str, cfg: &OptConfig) -> (i64, Metrics, PipelineReport) {
-    let mut lowered = compile(source).unwrap_or_else(|e| panic!("compile: {e}"));
-    fj_check::lint(&lowered.expr, &lowered.data_env)
-        .unwrap_or_else(|e| panic!("lint: {e}\n{}", lowered.expr));
-    let (out, report) =
-        optimize_with_report(&lowered.expr, &lowered.data_env, &mut lowered.supply, cfg)
-            .unwrap_or_else(|e| panic!("optimize: {e}"));
-    let o = run(&out, EvalMode::CallByValue, FUEL).unwrap_or_else(|e| panic!("eval: {e}\n{out}"));
-    match o.value {
-        Value::Int(n) => (n, o.metrics, report),
-        other => panic!("benchmark main must return Int, got {other}"),
-    }
+    run_machine(&lower(source, cfg).0)
 }
 
 /// Run one benchmark under both pipelines.
@@ -241,14 +193,7 @@ pub fn measure_with_report(source: &str, cfg: &OptConfig) -> (i64, Metrics, Pipe
 pub fn run_program(p: &Program) -> Row {
     let (v_base, m_base) = measure(p.source, &OptConfig::baseline());
     let (v_join, m_join) = measure(p.source, &OptConfig::join_points());
-    assert_eq!(
-        v_base, v_join,
-        "{}: baseline and join-points disagree ({v_base} vs {v_join})",
-        p.name
-    );
-    if let Some(exp) = p.expected {
-        assert_eq!(v_join, exp, "{}: expected {exp}, got {v_join}", p.name);
-    }
+    check_value(p, v_base, v_join);
     Row {
         name: p.name,
         suite: p.suite,
@@ -258,42 +203,8 @@ pub fn run_program(p: &Program) -> Row {
     }
 }
 
-/// A [`Row`] plus the optimizer activity behind it, for `fj report`.
-#[derive(Clone, Debug)]
-pub struct ReportRow {
-    /// The allocation comparison.
-    pub row: Row,
-    /// What the baseline pipeline did.
-    pub baseline_report: PipelineReport,
-    /// What the join-points pipeline did.
-    pub joined_report: PipelineReport,
-    /// Wall time of the Fig. 3 machine on the join-points output.
-    pub machine_wall: std::time::Duration,
-    /// Wall time of the bytecode VM on the same term.
-    pub vm_wall: std::time::Duration,
-}
-
-impl ReportRow {
-    /// Machine-over-VM wall-time ratio (how many times faster the
-    /// bytecode backend ran this program).
-    pub fn speedup(&self) -> f64 {
-        let vm = self.vm_wall.as_secs_f64();
-        if vm == 0.0 {
-            f64::INFINITY
-        } else {
-            self.machine_wall.as_secs_f64() / vm
-        }
-    }
-}
-
-/// Run one benchmark under both pipelines, keeping the pipeline reports.
-///
-/// # Panics
-///
-/// As [`run_program`].
-pub fn run_program_with_reports(p: &Program) -> ReportRow {
-    let (v_base, m_base, base_rep) = measure_with_report(p.source, &OptConfig::baseline());
-    let (v_join, m_join, join_rep) = measure_with_report(p.source, &OptConfig::join_points());
+/// Both pipelines compute one value, and it is the pinned one.
+fn check_value(p: &Program, v_base: i64, v_join: i64) {
     assert_eq!(
         v_base, v_join,
         "{}: baseline and join-points disagree ({v_base} vs {v_join})",
@@ -302,28 +213,109 @@ pub fn run_program_with_reports(p: &Program) -> ReportRow {
     if let Some(exp) = p.expected {
         assert_eq!(v_join, exp, "{}: expected {exp}, got {v_join}", p.name);
     }
-    let (_, _, machine_wall) =
-        measure_backend(p.source, &OptConfig::join_points(), Backend::Machine);
-    let (v_vm, m_vm, vm_wall) = measure_backend(p.source, &OptConfig::join_points(), Backend::Vm);
+}
+
+/// A [`Row`] plus the optimizer activity behind it and the backend
+/// timings, for `fj report`.
+#[derive(Clone, Debug)]
+pub struct ReportRow {
+    /// The allocation comparison.
+    pub row: Row,
+    /// What the baseline pipeline did.
+    pub baseline_report: PipelineReport,
+    /// What the join-points pipeline did.
+    pub joined_report: PipelineReport,
+    /// Wall time of the Fig. 3 machine on the join-points output. Like
+    /// the three times below, per run, from [`time_adaptive`].
+    pub machine_wall: Duration,
+    /// Wall time of the bytecode VM's codegen for the same term.
+    pub vm_codegen: Duration,
+    /// Wall time of the bytecode VM executing that code.
+    pub vm_exec: Duration,
+    /// Wall time of the program's native-Rust [`candles`] port.
+    pub candle: Duration,
+}
+
+impl ReportRow {
+    /// Machine wall time over VM execution time: how many times faster
+    /// the bytecode backend ran this program.
+    pub fn machine_over_vm(&self) -> f64 {
+        self.machine_wall.div_duration_f64(self.vm_exec)
+    }
+
+    /// VM execution time over the native candle's: the interpreter's
+    /// distance from the hardware.
+    pub fn vm_over_candle(&self) -> f64 {
+        self.vm_exec.div_duration_f64(self.candle)
+    }
+}
+
+/// Geometric mean of positive numbers.
+fn geomean(xs: impl ExactSizeIterator<Item = f64>) -> f64 {
+    let n = xs.len() as f64;
+    (xs.map(f64::ln).sum::<f64>() / n).exp()
+}
+
+/// Time `f` adaptively: after one untimed warm-up call, quadruple the
+/// repetition count until at least 200µs have elapsed, then report
+/// `(value, elapsed / reps)`. A single cold call can cost many times a
+/// warm one. `black_box` keeps rustc from folding the work away.
+pub fn time_adaptive<T>(mut f: impl FnMut() -> T) -> (T, Duration) {
+    let mut value = f();
+    let mut reps: u32 = 1;
+    loop {
+        let start = Instant::now();
+        for _ in 0..reps {
+            value = std::hint::black_box(&mut f)();
+        }
+        let elapsed = start.elapsed();
+        if elapsed >= Duration::from_micros(200) || reps >= 1 << 20 {
+            return (std::hint::black_box(value), elapsed / reps);
+        }
+        reps *= 4;
+    }
+}
+
+/// Run one benchmark under both pipelines, keeping the pipeline reports,
+/// then time the join-points term on the machine, the VM (codegen and
+/// execution apart) and the program's native candle.
+///
+/// # Panics
+///
+/// As [`run_program`]; also panics if the VM or the candle disagrees with
+/// the machine.
+pub fn run_program_with_reports(p: &Program) -> ReportRow {
+    let (base_term, baseline_report) = lower(p.source, &OptConfig::baseline());
+    let (join_term, joined_report) = lower(p.source, &OptConfig::join_points());
+    let (v_base, m_base) = run_machine(&base_term);
+    let ((v_join, m_join), machine_wall) = time_adaptive(|| run_machine(&join_term));
+    check_value(p, v_base, v_join);
+    let (prog, vm_codegen) = time_adaptive(|| {
+        fj_vm::compile(&join_term, EvalMode::CallByValue)
+            .unwrap_or_else(|e| panic!("{}: vm compile: {e}", p.name))
+    });
+    let (vm, vm_exec) = time_adaptive(|| {
+        fj_vm::run_program(&prog, VM_FUEL).unwrap_or_else(|e| panic!("{}: vm: {e}", p.name))
+    });
     assert_eq!(
-        v_vm, v_join,
+        vm.value,
+        Value::Int(v_join),
         "{}: vm backend disagrees on the value",
         p.name
     );
+    let counters = |m: &Metrics| (m.let_allocs, m.arg_allocs, m.con_allocs, m.jumps);
     assert_eq!(
-        (
-            m_vm.let_allocs,
-            m_vm.arg_allocs,
-            m_vm.con_allocs,
-            m_vm.jumps
-        ),
-        (
-            m_join.let_allocs,
-            m_join.arg_allocs,
-            m_join.con_allocs,
-            m_join.jumps
-        ),
+        counters(&vm.metrics),
+        counters(&m_join),
         "{}: vm backend disagrees on allocation metrics",
+        p.name
+    );
+    let candle_fn = candles::candle(p.name)
+        .unwrap_or_else(|| panic!("{}: no native candle registered", p.name));
+    let (candle_value, candle) = time_adaptive(candle_fn);
+    assert_eq!(
+        candle_value, v_join,
+        "{}: native candle disagrees with the machine",
         p.name
     );
     ReportRow {
@@ -334,10 +326,12 @@ pub fn run_program_with_reports(p: &Program) -> ReportRow {
             baseline: m_base,
             joined: m_join,
         },
-        baseline_report: base_rep,
-        joined_report: join_rep,
+        baseline_report,
+        joined_report,
         machine_wall,
-        vm_wall,
+        vm_codegen,
+        vm_exec,
+        candle,
     }
 }
 
@@ -395,22 +389,40 @@ pub fn format_report(rows: &[ReportRow]) -> String {
         out,
         "Same term, same counters — only the execution strategy differs: \
          the Fig. 3 substitution machine vs the flat jump-threaded \
-         bytecode VM (`--backend vm`).\n"
+         bytecode VM (`--backend vm`), its codegen timed apart from its \
+         execution, and the program's native-Rust candle, the hardware \
+         ceiling. Each time is per run, after a warm-up run, over at \
+         least 200 µs of repeats. Both ratios use VM execution time \
+         alone.\n"
     )
     .unwrap();
-    writeln!(out, "| program | machine | vm | speedup |").unwrap();
-    writeln!(out, "|---|---|---|---|").unwrap();
+    writeln!(
+        out,
+        "| program | machine | vm codegen | vm exec | candle | machine / vm exec | vm exec / candle |"
+    )
+    .unwrap();
+    writeln!(out, "|---|---|---|---|---|---|---|").unwrap();
     for r in rows {
         writeln!(
             out,
-            "| {} | {:.2?} | {:.2?} | {:.1}× |",
+            "| {} | {:.2?} | {:.2?} | {:.2?} | {:.2?} | {:.1}× | {:.1}× |",
             r.row.name,
             r.machine_wall,
-            r.vm_wall,
-            r.speedup()
+            r.vm_codegen,
+            r.vm_exec,
+            r.candle,
+            r.machine_over_vm(),
+            r.vm_over_candle()
         )
         .unwrap();
     }
+    writeln!(
+        out,
+        "| geomean | | | | | {:.1}× | {:.1}× |",
+        geomean(rows.iter().map(ReportRow::machine_over_vm)),
+        geomean(rows.iter().map(ReportRow::vm_over_candle))
+    )
+    .unwrap();
     writeln!(out, "\n## Optimizer activity (join-points pipeline)\n").unwrap();
     writeln!(
         out,
@@ -467,312 +479,6 @@ pub fn run_table1() -> Vec<Row> {
     programs().iter().map(run_program).collect()
 }
 
-/// One benchmark timed on both backends (join-points pipeline).
-#[derive(Clone, Debug)]
-pub struct BenchRow {
-    /// Program name.
-    pub name: &'static str,
-    /// Suite name.
-    pub suite: &'static str,
-    /// Machine wall time.
-    pub machine: std::time::Duration,
-    /// VM wall time.
-    pub vm: std::time::Duration,
-    /// Native-Rust candle wall time (the hardware ceiling; see
-    /// [`candles`]).
-    pub candle: std::time::Duration,
-    /// Total heap-allocation units (identical on both backends; checked).
-    pub total_allocs: u64,
-    /// Jumps taken (identical on both backends; checked).
-    pub jumps: u64,
-}
-
-/// Time every nofib program on both backends, verifying value and
-/// metric agreement along the way.
-///
-/// `iterations` timed runs per backend are averaged after `warmup`
-/// untimed runs; `iterations` is clamped to at least 1. The historical
-/// behaviour is `run_bench(1, 0)`.
-///
-/// # Panics
-///
-/// As [`measure_backend`]; also panics if the backends disagree.
-pub fn run_bench(iterations: u32, warmup: u32) -> Vec<BenchRow> {
-    let cfg = OptConfig::join_points();
-    let iters = iterations.max(1);
-    let mean = |total: std::time::Duration| total / iters;
-    programs()
-        .iter()
-        .map(|p| {
-            for _ in 0..warmup {
-                measure_backend(p.source, &cfg, Backend::Machine);
-                measure_backend(p.source, &cfg, Backend::Vm);
-            }
-            let mut machine = std::time::Duration::ZERO;
-            let mut vm = std::time::Duration::ZERO;
-            let mut metrics = None;
-            let mut value = 0i64;
-            for _ in 0..iters {
-                let (v_m, m_m, machine_wall) = measure_backend(p.source, &cfg, Backend::Machine);
-                let (v_v, m_v, vm_wall) = measure_backend(p.source, &cfg, Backend::Vm);
-                assert_eq!(v_m, v_v, "{}: backends disagree on the value", p.name);
-                assert_eq!(
-                    (m_m.let_allocs, m_m.arg_allocs, m_m.con_allocs, m_m.jumps),
-                    (m_v.let_allocs, m_v.arg_allocs, m_v.con_allocs, m_v.jumps),
-                    "{}: backends disagree on allocation metrics",
-                    p.name
-                );
-                machine += machine_wall;
-                vm += vm_wall;
-                metrics = Some(m_v);
-                value = v_v;
-            }
-            let m_v = metrics.expect("iterations >= 1");
-            let candle_fn = candles::candle(p.name)
-                .unwrap_or_else(|| panic!("{}: no native candle registered", p.name));
-            let (candle_value, candle_wall) = candles::time_candle(candle_fn);
-            assert_eq!(
-                candle_value, value,
-                "{}: native candle disagrees with the VM",
-                p.name
-            );
-            BenchRow {
-                name: p.name,
-                suite: p.suite.name(),
-                machine: mean(machine),
-                vm: mean(vm),
-                candle: candle_wall,
-                total_allocs: m_v.total_allocs(),
-                jumps: m_v.jumps,
-            }
-        })
-        .collect()
-}
-
-/// One nofib program timed through the optimizer (`fj bench --phase
-/// optimize`): serial wall time per full pipeline run plus the per-pass
-/// breakdown from the last iteration's [`PipelineReport`].
-#[derive(Clone, Debug)]
-pub struct OptBenchRow {
-    /// Program name.
-    pub name: &'static str,
-    /// Suite name.
-    pub suite: &'static str,
-    /// Mean wall time of one full `optimize_with_report` run, in ns.
-    pub optimize_ns: u128,
-    /// Term size entering the pipeline.
-    pub size_before: usize,
-    /// Term size leaving the pipeline.
-    pub size_after: usize,
-    /// Per-pass `(name, wall ns, rewrites fired)` from the last timed run.
-    pub passes: Vec<(&'static str, u128, u64)>,
-}
-
-/// The whole `--phase optimize` measurement: per-program rows plus the
-/// serial and parallel suite totals that BENCH_opt.json tracks.
-#[derive(Clone, Debug)]
-pub struct OptBench {
-    /// Per-program rows, suite order.
-    pub rows: Vec<OptBenchRow>,
-    /// Sum of the per-program serial means, in ns.
-    pub serial_ns: u128,
-    /// Mean wall time of optimizing the whole suite through
-    /// [`fj_core::optimize_many`], in ns.
-    pub parallel_ns: u128,
-    /// Worker threads the parallel driver used.
-    pub threads: usize,
-    /// Timed iterations per measurement.
-    pub iterations: u32,
-    /// Untimed warmup runs per measurement.
-    pub warmup: u32,
-}
-
-/// Time the optimizer (not the backends) over the whole nofib suite
-/// under the join-points pipeline: compile every program once, then for
-/// each program run the full pipeline `warmup` untimed plus
-/// `iterations` timed times (fresh name supply per run), and finally
-/// time the same batch through the parallel [`fj_core::optimize_many`]
-/// driver.
-///
-/// # Panics
-///
-/// On compile or optimizer errors — as [`measure`], a harness bug is a
-/// loud stop.
-pub fn run_bench_opt(iterations: u32, warmup: u32) -> OptBench {
-    let cfg = OptConfig::join_points();
-    let iters = iterations.max(1);
-    let compiled: Vec<(&'static str, &'static str, fj_surface::Lowered)> = programs()
-        .iter()
-        .map(|p| {
-            let lowered = compile(p.source).unwrap_or_else(|e| panic!("{}: compile: {e}", p.name));
-            (p.name, p.suite.name(), lowered)
-        })
-        .collect();
-
-    let mut rows = Vec::with_capacity(compiled.len());
-    let mut serial_ns = 0u128;
-    for (name, suite, lowered) in &compiled {
-        for _ in 0..warmup {
-            let mut supply = lowered.supply.clone();
-            optimize_with_report(&lowered.expr, &lowered.data_env, &mut supply, &cfg)
-                .unwrap_or_else(|e| panic!("{name}: optimize: {e}"));
-        }
-        let mut total = 0u128;
-        let mut last = None;
-        for _ in 0..iters {
-            let mut supply = lowered.supply.clone();
-            let start = std::time::Instant::now();
-            let out = optimize_with_report(&lowered.expr, &lowered.data_env, &mut supply, &cfg)
-                .unwrap_or_else(|e| panic!("{name}: optimize: {e}"));
-            total += start.elapsed().as_nanos();
-            last = Some(out.1);
-        }
-        let report = last.expect("iterations >= 1");
-        let mean = total / u128::from(iters);
-        serial_ns += mean;
-        rows.push(OptBenchRow {
-            name,
-            suite,
-            optimize_ns: mean,
-            size_before: report.census_before.size,
-            size_after: report.census_after.size,
-            passes: report
-                .passes
-                .iter()
-                .map(|p| (p.pass, p.wall.as_nanos(), p.rewrites.total()))
-                .collect(),
-        });
-    }
-
-    let threads = fj_core::par_threads(compiled.len());
-    let mut parallel_total = 0u128;
-    for _ in 0..iters {
-        let jobs: Vec<_> = compiled
-            .iter()
-            .map(|(_, _, l)| (l.expr.clone(), l.data_env.clone(), l.supply.clone()))
-            .collect();
-        let start = std::time::Instant::now();
-        let results = fj_core::optimize_many(jobs, &cfg);
-        parallel_total += start.elapsed().as_nanos();
-        for ((name, _, _), r) in compiled.iter().zip(results) {
-            r.unwrap_or_else(|e| panic!("{name}: optimize_many: {e}"));
-        }
-    }
-
-    OptBench {
-        rows,
-        serial_ns,
-        parallel_ns: parallel_total / u128::from(iters),
-        threads,
-        iterations: iters,
-        warmup,
-    }
-}
-
-/// Render an [`OptBench`] as the `BENCH_opt.json` snapshot (hand-written
-/// JSON; the workspace takes no serialization dependency).
-pub fn format_bench_opt_json(bench: &OptBench) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    let speedup = |serial: u128, parallel: u128| {
-        if parallel == 0 {
-            f64::INFINITY
-        } else {
-            serial as f64 / parallel as f64
-        }
-    };
-    writeln!(out, "{{").unwrap();
-    writeln!(out, "  \"generated_by\": \"fj bench --phase optimize\",").unwrap();
-    writeln!(out, "  \"pipeline\": \"join_points\",").unwrap();
-    writeln!(out, "  \"unit\": \"nanoseconds\",").unwrap();
-    writeln!(out, "  \"iterations\": {},", bench.iterations).unwrap();
-    writeln!(out, "  \"warmup\": {},", bench.warmup).unwrap();
-    writeln!(out, "  \"threads\": {},", bench.threads).unwrap();
-    writeln!(out, "  \"programs\": [").unwrap();
-    for (i, r) in bench.rows.iter().enumerate() {
-        let comma = if i + 1 == bench.rows.len() { "" } else { "," };
-        let passes = r
-            .passes
-            .iter()
-            .map(|(pass, ns, rewrites)| {
-                format!("{{\"pass\": \"{pass}\", \"ns\": {ns}, \"rewrites\": {rewrites}}}")
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        writeln!(
-            out,
-            "    {{\"name\": \"{}\", \"suite\": \"{}\", \"optimize_ns\": {}, \
-             \"size_before\": {}, \"size_after\": {}, \"passes\": [{passes}]}}{comma}",
-            r.name, r.suite, r.optimize_ns, r.size_before, r.size_after
-        )
-        .unwrap();
-    }
-    writeln!(out, "  ],").unwrap();
-    writeln!(
-        out,
-        "  \"total\": {{\"serial_ns\": {}, \"parallel_ns\": {}, \"parallel_speedup\": {:.2}}}",
-        bench.serial_ns,
-        bench.parallel_ns,
-        speedup(bench.serial_ns, bench.parallel_ns)
-    )
-    .unwrap();
-    writeln!(out, "}}").unwrap();
-    out
-}
-
-/// Render bench rows as the `BENCH_vm.json` snapshot (hand-written
-/// JSON; the workspace takes no serialization dependency).
-pub fn format_bench_json(rows: &[BenchRow]) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    let machine_total: u128 = rows.iter().map(|r| r.machine.as_nanos()).sum();
-    let vm_total: u128 = rows.iter().map(|r| r.vm.as_nanos()).sum();
-    let candle_total: u128 = rows.iter().map(|r| r.candle.as_nanos()).sum();
-    let speedup = |m: u128, v: u128| {
-        if v == 0 {
-            f64::INFINITY
-        } else {
-            m as f64 / v as f64
-        }
-    };
-    writeln!(out, "{{").unwrap();
-    writeln!(out, "  \"generated_by\": \"fj bench\",").unwrap();
-    writeln!(out, "  \"pipeline\": \"join_points\",").unwrap();
-    writeln!(out, "  \"mode\": \"call_by_value\",").unwrap();
-    writeln!(out, "  \"unit\": \"nanoseconds\",").unwrap();
-    writeln!(out, "  \"programs\": [").unwrap();
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 == rows.len() { "" } else { "," };
-        writeln!(
-            out,
-            "    {{\"name\": \"{}\", \"suite\": \"{}\", \"machine_ns\": {}, \
-             \"vm_ns\": {}, \"speedup\": {:.2}, \"candle_ns\": {}, \
-             \"vm_over_candle\": {:.2}, \"total_allocs\": {}, \"jumps\": {}}}{comma}",
-            r.name,
-            r.suite,
-            r.machine.as_nanos(),
-            r.vm.as_nanos(),
-            speedup(r.machine.as_nanos(), r.vm.as_nanos()),
-            r.candle.as_nanos(),
-            speedup(r.vm.as_nanos(), r.candle.as_nanos()),
-            r.total_allocs,
-            r.jumps
-        )
-        .unwrap();
-    }
-    writeln!(out, "  ],").unwrap();
-    writeln!(
-        out,
-        "  \"total\": {{\"machine_ns\": {machine_total}, \"vm_ns\": {vm_total}, \
-         \"speedup\": {:.2}, \"candle_ns\": {candle_total}, \"vm_over_candle\": {:.2}}}",
-        speedup(machine_total, vm_total),
-        speedup(vm_total, candle_total)
-    )
-    .unwrap();
-    writeln!(out, "}}").unwrap();
-    out
-}
-
 /// Minimum, maximum, and geometric mean of the deltas in a suite — the
 /// paper's summary lines.
 #[derive(Clone, Copy, Debug)]
@@ -799,8 +505,7 @@ pub fn summarize(rows: &[Row], suite: Suite) -> SuiteSummary {
     let geo_mean = if deltas.iter().any(|d| *d <= -100.0) {
         None
     } else {
-        let log_sum: f64 = deltas.iter().map(|d| (1.0 + d / 100.0).ln()).sum();
-        Some(((log_sum / deltas.len() as f64).exp() - 1.0) * 100.0)
+        Some((geomean(deltas.iter().map(|d| 1.0 + d / 100.0)) - 1.0) * 100.0)
     };
     SuiteSummary { min, max, geo_mean }
 }

@@ -2,10 +2,12 @@
 //! both pipelines, and the headline Table-1 shapes hold.
 
 use crate::{
-    format_report, measure, programs, run_program, run_program_with_reports, summarize, Suite,
+    format_report, lower, measure, programs, run_program, run_program_with_reports, summarize,
+    Suite,
 };
 use fj_ast::{Expr, JoinBind, LetBind};
 use fj_core::{apply_pass, optimize, OptConfig, Pass, SimplOpts};
+use fj_eval::{EvalMode, Value};
 use std::sync::Arc;
 
 /// EXPERIMENTS.md's T1 table: `(program, baseline allocs, join-points
@@ -42,6 +44,40 @@ const TABLE1: &[(&str, u64, u64)] = &[
     ("fannkuch-redux", 385, 343),
 ];
 
+/// EXPERIMENTS.md's call-by-need T1 table: as [`TABLE1`], with both
+/// pipelines' output run by need.
+const TABLE1_NEED: &[(&str, u64, u64)] = &[
+    ("fibheaps", 1206, 1206),
+    ("ida", 381, 381),
+    ("nucleic2", 402, 402),
+    ("para", 470, 398),
+    ("primetest", 1120, 921),
+    ("simple", 1292, 1292),
+    ("solid", 3305, 3079),
+    ("sphere", 1388, 1288),
+    ("transform", 1281, 1281),
+    ("boyer", 960, 960),
+    ("clausify", 1380, 1380),
+    ("knights", 7204, 4796),
+    ("mandel", 3108, 2902),
+    ("queens", 3211, 2317),
+    ("anna", 750, 750),
+    ("cacheprof", 1337, 1337),
+    ("fem", 302, 302),
+    ("gamteb", 560, 510),
+    ("hpg", 500, 500),
+    ("parser", 902, 602),
+    ("rsa", 642, 642),
+    ("compress", 464, 414),
+    ("grep", 1225, 943),
+    ("infer", 256, 256),
+    ("k-nucleotide", 1603, 1153),
+    ("n-body", 487, 486),
+    ("spectral-norm", 1404, 1404),
+    ("binary-trees", 776, 776),
+    ("fannkuch-redux", 534, 492),
+];
+
 /// Every program runs, both pipelines agree, and each program's
 /// allocations match Table 1 exactly — so an optimizer change that gains
 /// or loses a conversion fails here, not only in a benchmark total.
@@ -67,6 +103,46 @@ fn all_programs_agree_across_pipelines() {
             (row.baseline.total_allocs(), row.joined.total_allocs()),
             (base, joins),
             "{}: (baseline, joins) allocations differ from Table 1",
+            p.name
+        );
+    }
+}
+
+/// [`TABLE1`] by need, the paper's evaluation order (GHC is lazy): both
+/// pipelines compute the candle's value, join points never allocate
+/// more, and each program's allocations match [`TABLE1_NEED`] exactly.
+#[test]
+fn need_mode_allocations_match_table1_need() {
+    let progs = programs();
+    assert_eq!(progs.len(), TABLE1_NEED.len(), "every program has a row");
+    for p in progs {
+        let want = crate::candles::candle(p.name)
+            .unwrap_or_else(|| panic!("{}: no native candle registered", p.name))(
+        );
+        let allocs = |cfg: &OptConfig| {
+            let (term, _) = lower(p.source, cfg);
+            let out = fj_eval::run(&term, EvalMode::CallByNeed, crate::FUEL)
+                .unwrap_or_else(|e| panic!("{}: by need: {e}", p.name));
+            assert_eq!(out.value, Value::Int(want), "{}: by-need value", p.name);
+            out.metrics.total_allocs()
+        };
+        let (base, joins) = (
+            allocs(&OptConfig::baseline()),
+            allocs(&OptConfig::join_points()),
+        );
+        assert!(
+            joins <= base,
+            "{}: joined {joins} > baseline {base}",
+            p.name
+        );
+        let &(_, want_base, want_joins) = TABLE1_NEED
+            .iter()
+            .find(|(name, _, _)| *name == p.name)
+            .unwrap_or_else(|| panic!("{}: no need row", p.name));
+        assert_eq!(
+            (base, joins),
+            (want_base, want_joins),
+            "{}: (baseline, joins) need-mode allocations differ from the table",
             p.name
         );
     }
@@ -200,13 +276,19 @@ fn report_shows_strict_wins_with_nonzero_counters() {
     }
 }
 
-/// The markdown report renders all three sections with real rows.
+/// The markdown report renders every section with real rows, including
+/// the backend table's timing columns and a geomean row per ratio.
 #[test]
 fn format_report_renders_markdown_tables() {
     let p = programs().into_iter().find(|p| p.name == "queens").unwrap();
-    let s = format_report(&[run_program_with_reports(&p)]);
+    let row = run_program_with_reports(&p);
+    assert!(row.vm_exec > std::time::Duration::ZERO);
+    assert!(row.candle > std::time::Duration::ZERO);
+    let s = format_report(&[row]);
     for needle in [
         "## Machine metrics",
+        "## Backend wall time (join-points pipeline)",
+        "| program | machine | vm codegen | vm exec | candle | machine / vm exec | vm exec / candle |",
         "## Optimizer activity (join-points pipeline)",
         "## Per-pass detail",
         "| queens |",
@@ -215,6 +297,11 @@ fn format_report_renders_markdown_tables() {
     ] {
         assert!(s.contains(needle), "missing {needle:?} in:\n{s}");
     }
+    let geomean = s
+        .lines()
+        .find(|l| l.starts_with("| geomean |"))
+        .unwrap_or_else(|| panic!("no geomean row in:\n{s}"));
+    assert_eq!(geomean.matches('×').count(), 2, "{geomean}");
 }
 
 /// On the Sec. 5 fusion-matrix programs (skip-less and skip-ful
@@ -270,15 +357,15 @@ fn vm_fusion_counters_exact_on_fusion_matrix() {
 }
 
 /// Every native candle computes the same value as the VM, so the
-/// BENCH_vm.json hardware-distance ratio always compares identical
-/// computations.
+/// `fj report` hardware-distance ratio (VM exec / candle) always
+/// compares identical computations.
 #[test]
 fn candles_agree_with_vm() {
     let cfg = OptConfig::join_points();
     for p in programs() {
         let f = crate::candles::candle(p.name)
             .unwrap_or_else(|| panic!("{}: no native candle registered", p.name));
-        let e = crate::lower(p.source, &cfg);
+        let (e, _) = lower(p.source, &cfg);
         let out = fj_vm::run(&e, fj_eval::EvalMode::CallByValue, crate::VM_FUEL)
             .unwrap_or_else(|err| panic!("{}: vm: {err}", p.name));
         let fj_eval::Value::Int(v) = out.value else {
@@ -288,12 +375,12 @@ fn candles_agree_with_vm() {
     }
 }
 
-/// The adaptive candle timer returns the candle's value and a nonzero
-/// per-rep duration.
+/// The adaptive timer returns a candle's value and a nonzero per-rep
+/// duration.
 #[test]
 fn candle_timer_reports_value_and_time() {
     let f = crate::candles::candle("primetest").unwrap();
-    let (value, per_rep) = crate::candles::time_candle(f);
+    let (value, per_rep) = crate::time_adaptive(f);
     assert_eq!(value, 46);
     assert!(per_rep > std::time::Duration::ZERO);
 }

@@ -42,7 +42,7 @@ pub fn run_vm_op_report() -> VmOpReport {
     let mut unfused = OpProfile::default();
     let mut fused = OpProfile::default();
     for p in programs() {
-        let e = lower(p.source, &cfg);
+        let (e, _) = lower(p.source, &cfg);
         for (fuse, acc) in [(false, &mut unfused), (true, &mut fused)] {
             let prog = compile_with(&e, EvalMode::CallByValue, CompileOpts { fuse })
                 .unwrap_or_else(|err| panic!("{}: vm compile: {err}", p.name));

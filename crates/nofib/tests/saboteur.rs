@@ -175,7 +175,9 @@ fn rolled_back_outcome_round_trips_through_report_markdown() {
         baseline_report: report.clone(),
         joined_report: report,
         machine_wall: Duration::ZERO,
-        vm_wall: Duration::ZERO,
+        vm_codegen: Duration::ZERO,
+        vm_exec: Duration::ZERO,
+        candle: Duration::ZERO,
     };
     let md = format_report(&[row]);
     assert!(

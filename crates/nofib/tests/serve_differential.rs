@@ -1,18 +1,20 @@
 //! ISSUE acceptance: the compile service is *transparent*. For every
 //! nofib program, under both real pipelines, four compile routes must
-//! agree up to α-equivalence — serial, parallel batch (`optimize_many`),
-//! served with a cold cache (miss), and served with a hot cache (hit) —
-//! and the served term must produce the same value and allocation
-//! metrics as the serial one on both backends.
+//! agree up to α-equivalence — serial, a served parallel batch (one
+//! `compile` request with `programs`), served with a cold cache (miss),
+//! and served with a hot cache (hit) — and the served term must produce
+//! the same value and allocation metrics as the serial one on both
+//! backends.
 //!
 //! This is the concurrency companion of `vm_differential`: it pins down
 //! the two ways a cache could lie (a stale or colliding entry served as
 //! a hit, and a cross-thread name-capture bug in the batch path).
 
-use fj_ast::alpha_eq;
-use fj_core::{optimize_many, optimize_with_report, OptConfig};
+use fj_ast::{alpha_eq, alpha_fingerprint};
+use fj_core::{optimize_with_report, OptConfig};
 use fj_eval::EvalMode;
 use fj_nofib::{programs, FUEL, VM_FUEL};
+use fj_server::json::{self, Value};
 use fj_server::{CacheDisposition, CompileOpts, ServerState};
 
 fn opts_for(preset: &str) -> CompileOpts {
@@ -36,33 +38,73 @@ fn served_compiles_match_serial_and_batch_on_every_program() {
 
         // Route 1: serial, the reference.
         let mut serial = Vec::new();
-        let mut jobs = Vec::new();
         for p in programs() {
-            let lowered = fj_surface::compile(p.source)
+            let mut lowered = fj_surface::compile(p.source)
                 .unwrap_or_else(|e| panic!("{} [{preset}]: compile: {e}", p.name));
-            jobs.push((
-                lowered.expr.clone(),
-                lowered.data_env.clone(),
-                lowered.supply.clone(),
-            ));
-            let mut supply = lowered.supply;
             let (term, _) =
-                optimize_with_report(&lowered.expr, &lowered.data_env, &mut supply, &cfg)
+                optimize_with_report(&lowered.expr, &lowered.data_env, &mut lowered.supply, &cfg)
                     .unwrap_or_else(|e| panic!("{} [{preset}]: serial optimize: {e}", p.name));
             serial.push(term);
         }
 
-        // Route 2: the whole suite as one parallel batch.
-        let batched = optimize_many(jobs, &cfg);
-        for ((p, want), got) in programs().iter().zip(&serial).zip(batched) {
-            let (term, _) =
-                got.unwrap_or_else(|e| panic!("{} [{preset}]: batch optimize: {e}", p.name));
+        // Route 2: the whole suite as one batch `compile` request on a
+        // fresh server, which fans the programs out over `par_map`.
+        let batch_server = ServerState::new(4, 16 << 20);
+        let request = Value::obj([
+            ("op", Value::str("compile")),
+            ("preset", Value::str(preset)),
+            (
+                "programs",
+                Value::Arr(programs().iter().map(|p| Value::str(p.source)).collect()),
+            ),
+        ]);
+        let (response, _) = batch_server.handle_line(&request.to_string());
+        let response = json::parse(&response).expect("batch response is JSON");
+        let results = response
+            .get("results")
+            .and_then(Value::as_arr)
+            .unwrap_or_else(|| panic!("[{preset}]: batch response has no results: {response}"));
+        assert_eq!(
+            results.len(),
+            serial.len(),
+            "[{preset}]: one result per program"
+        );
+        for ((p, want), got) in programs().iter().zip(&serial).zip(results) {
+            assert_eq!(
+                got.get("ok").and_then(Value::as_bool),
+                Some(true),
+                "{} [{preset}]: batch compile failed: {got}",
+                p.name
+            );
+            assert_eq!(
+                got.get("cache").and_then(Value::as_str),
+                Some("miss"),
+                "{} [{preset}]: batch compile on a fresh server must miss",
+                p.name
+            );
+            assert_eq!(
+                got.get("fingerprint").and_then(Value::as_str),
+                Some(format!("{:016x}", alpha_fingerprint(want)).as_str()),
+                "{} [{preset}]: batch compile disagrees with the serial pipeline",
+                p.name
+            );
+            let again = batch_server
+                .compile_source(p.source, &opts)
+                .unwrap_or_else(|e| {
+                    panic!("{} [{preset}]: batch recompile: {}", p.name, e.message())
+                });
+            assert_eq!(again.cache, CacheDisposition::Hit, "{} [{preset}]", p.name);
             assert!(
-                alpha_eq(want, &term),
-                "{} [{preset}]: optimize_many disagrees with the serial pipeline",
+                alpha_eq(want, &again.term),
+                "{} [{preset}]: textual hit on a batch-filled entry disagrees with serial",
                 p.name
             );
         }
+        assert_eq!(
+            batch_server.source_hits(),
+            programs().len() as u64,
+            "[{preset}]: every recompile after the batch must text-hit"
+        );
 
         // Routes 3 and 4: served cold (miss), then served hot — once with
         // byte-identical text (textual front-cache hit) and once with a

@@ -1,7 +1,7 @@
 //! ISSUE acceptance: the bytecode VM agrees with the Fig. 3 machine —
 //! same value, same allocation metrics — on EVERY nofib program, under
-//! both the baseline and the join-points pipeline, with the
-//! superinstruction peephole on and off.
+//! both the baseline and the join-points pipeline, by value and by need,
+//! with the superinstruction peephole on and off.
 
 use fj_ast::Expr;
 use fj_core::OptConfig;
@@ -9,9 +9,9 @@ use fj_eval::EvalMode;
 use fj_nofib::{lower, programs, FUEL, VM_FUEL};
 use fj_vm::{compile_with, CompileOpts, Program};
 
-fn vm_program(e: &Expr, fuse: bool) -> Program {
-    compile_with(e, EvalMode::CallByValue, CompileOpts { fuse })
-        .unwrap_or_else(|err| panic!("vm compile (fuse={fuse}): {err}"))
+fn vm_program(e: &Expr, mode: EvalMode, fuse: bool) -> Program {
+    compile_with(e, mode, CompileOpts { fuse })
+        .unwrap_or_else(|err| panic!("vm compile ({mode:?}, fuse={fuse}): {err}"))
 }
 
 #[test]
@@ -22,33 +22,36 @@ fn vm_matches_machine_on_every_nofib_program() {
     ];
     for p in programs() {
         for (label, cfg) in &configs {
-            let term = lower(p.source, cfg);
-            let m = fj_eval::run(&term, EvalMode::CallByValue, FUEL)
-                .unwrap_or_else(|e| panic!("{} [{label}]: machine: {e}", p.name));
-            for fuse in [false, true] {
-                let v = fj_vm::run_program(&vm_program(&term, fuse), VM_FUEL)
-                    .unwrap_or_else(|e| panic!("{} [{label}] fuse={fuse}: vm: {e}", p.name));
-                assert_eq!(
-                    m.value, v.value,
-                    "{} [{label}] fuse={fuse}: backends disagree on the value",
-                    p.name
-                );
-                assert_eq!(
-                    (
-                        m.metrics.let_allocs,
-                        m.metrics.arg_allocs,
-                        m.metrics.con_allocs,
-                        m.metrics.jumps
-                    ),
-                    (
-                        v.metrics.let_allocs,
-                        v.metrics.arg_allocs,
-                        v.metrics.con_allocs,
-                        v.metrics.jumps
-                    ),
-                    "{} [{label}] fuse={fuse}: backends disagree on allocation metrics",
-                    p.name
-                );
+            let (term, _) = lower(p.source, cfg);
+            for mode in [EvalMode::CallByValue, EvalMode::CallByNeed] {
+                let label = format!("{label} {mode:?}");
+                let m = fj_eval::run(&term, mode, FUEL)
+                    .unwrap_or_else(|e| panic!("{} [{label}]: machine: {e}", p.name));
+                for fuse in [false, true] {
+                    let v = fj_vm::run_program(&vm_program(&term, mode, fuse), VM_FUEL)
+                        .unwrap_or_else(|e| panic!("{} [{label}] fuse={fuse}: vm: {e}", p.name));
+                    assert_eq!(
+                        m.value, v.value,
+                        "{} [{label}] fuse={fuse}: backends disagree on the value",
+                        p.name
+                    );
+                    assert_eq!(
+                        (
+                            m.metrics.let_allocs,
+                            m.metrics.arg_allocs,
+                            m.metrics.con_allocs,
+                            m.metrics.jumps
+                        ),
+                        (
+                            v.metrics.let_allocs,
+                            v.metrics.arg_allocs,
+                            v.metrics.con_allocs,
+                            v.metrics.jumps
+                        ),
+                        "{} [{label}] fuse={fuse}: backends disagree on allocation metrics",
+                        p.name
+                    );
+                }
             }
         }
     }
@@ -76,7 +79,7 @@ def main : Int =
         "machine: expected OutOfFuel, got {m:?}"
     );
     for fuse in [false, true] {
-        let v = fj_vm::run_program(&vm_program(e, fuse), 10_000);
+        let v = fj_vm::run_program(&vm_program(e, EvalMode::CallByValue, fuse), 10_000);
         assert!(
             matches!(v, Err(fj_vm::VmError::OutOfFuel)),
             "vm fuse={fuse}: expected OutOfFuel, got {v:?}"
@@ -91,7 +94,11 @@ def main : Int =
         "machine: expected Timeout, got {m:?}"
     );
     for fuse in [false, true] {
-        let v = fj_vm::run_program_with_limits(&vm_program(e, fuse), u64::MAX, Some(limit));
+        let v = fj_vm::run_program_with_limits(
+            &vm_program(e, EvalMode::CallByValue, fuse),
+            u64::MAX,
+            Some(limit),
+        );
         assert!(
             matches!(v, Err(fj_vm::VmError::Timeout { .. })),
             "vm fuse={fuse}: expected Timeout, got {v:?}"

@@ -27,7 +27,7 @@ fn repeated_vm_runs_of_a_letrec_program_stay_flat() {
         .find(|p| p.name == "n-body")
         .expect("n-body is a nofib program");
     let prog = fj_vm::compile(
-        &lower(p.source, &OptConfig::baseline()),
+        &lower(p.source, &OptConfig::baseline()).0,
         EvalMode::CallByValue,
     )
     .expect("n-body compiles to bytecode");

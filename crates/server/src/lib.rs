@@ -34,9 +34,9 @@
 //!
 //! `preset` is `"join-points"` (default), `"baseline"`, or `"none"`;
 //! `cache` is `"use"` (default) or `"bypass"`. A batch `compile` with
-//! `"programs"` fans the batch out over [`fj_core::par_map`] — the same
-//! worker pool as `fj bench` — and responds with one result per program,
-//! in order.
+//! `"programs"` fans the batch out over [`fj_core::par_map`] (scoped
+//! threads of its own, not the service's worker pool) and responds with
+//! one result per program, in order.
 //!
 //! Errors are never transport failures: the response is
 //! `{"ok": false, "error": {"tag": …, "code": …, "message": …}}` where
@@ -80,8 +80,6 @@ use fj_surface::SurfaceError;
 use fj_vm::VmError;
 use json::Value;
 use service::ServiceStats;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -698,8 +696,8 @@ impl ServerState {
                     }
                 }
             }
-            // The batch fans out over the same worker pool as
-            // `optimize_many`; per-program failures stay per-program.
+            // The batch fans out over `par_map`, one served compile per
+            // program; per-program failures stay per-program.
             let results: Vec<Value> =
                 fj_core::par_map(sources, |src| match self.compile_source(&src, &opts) {
                     Ok(c) => {
@@ -745,15 +743,26 @@ impl ServerState {
         let Some(source) = req.get("program").and_then(Value::as_str) else {
             return error_response(&ServeError::Proto("missing `program` field".to_string()));
         };
-        let backend = req
-            .get("backend")
-            .and_then(Value::as_str)
-            .unwrap_or("machine");
-        let mode = match req.get("mode").and_then(Value::as_str).unwrap_or("value") {
-            "name" => EvalMode::CallByName,
-            "need" => EvalMode::CallByNeed,
-            "value" => EvalMode::CallByValue,
-            other => return error_response(&ServeError::Proto(format!("unknown mode `{other}`"))),
+        // Every run field is checked before the compile, so a malformed
+        // request costs no pipeline run and leaves no cache entry.
+        let backend = match req.get("backend").map(Value::as_str) {
+            None | Some(Some("machine")) => "machine",
+            Some(Some("vm")) => "vm",
+            Some(_) => {
+                return error_response(&ServeError::Proto(
+                    "`backend` must be \"machine\" or \"vm\"".to_string(),
+                ))
+            }
+        };
+        let mode = match req.get("mode").map(Value::as_str) {
+            None | Some(Some("value")) => EvalMode::CallByValue,
+            Some(Some("name")) => EvalMode::CallByName,
+            Some(Some("need")) => EvalMode::CallByNeed,
+            Some(_) => {
+                return error_response(&ServeError::Proto(
+                    "`mode` must be \"name\", \"need\" or \"value\"".to_string(),
+                ))
+            }
         };
         let fuel = match req.get("fuel") {
             None => 100_000_000,
@@ -781,26 +790,18 @@ impl ServerState {
             Ok(c) => c,
             Err(e) => return error_response(&e),
         };
-        let outcome: Result<Outcome, ServeError> = match backend {
-            "machine" => {
-                fj_eval::run_with_limits(&compiled.term, mode, fuel, timeout).map_err(|e| match e {
-                    MachineError::OutOfFuel | MachineError::Timeout { .. } => {
-                        ServeError::Budget(e.to_string())
-                    }
-                    other => ServeError::Runtime(other.to_string()),
-                })
-            }
-            "vm" => {
-                fj_vm::run_with_limits(&compiled.term, mode, fuel, timeout).map_err(|e| match e {
-                    VmError::OutOfFuel | VmError::Timeout { .. } => {
-                        ServeError::Budget(e.to_string())
-                    }
-                    other => ServeError::Runtime(other.to_string()),
-                })
-            }
-            other => {
-                return error_response(&ServeError::Proto(format!("unknown backend `{other}`")))
-            }
+        let outcome: Result<Outcome, ServeError> = if backend == "vm" {
+            fj_vm::run_with_limits(&compiled.term, mode, fuel, timeout).map_err(|e| match e {
+                VmError::OutOfFuel | VmError::Timeout { .. } => ServeError::Budget(e.to_string()),
+                other => ServeError::Runtime(other.to_string()),
+            })
+        } else {
+            fj_eval::run_with_limits(&compiled.term, mode, fuel, timeout).map_err(|e| match e {
+                MachineError::OutOfFuel | MachineError::Timeout { .. } => {
+                    ServeError::Budget(e.to_string())
+                }
+                other => ServeError::Runtime(other.to_string()),
+            })
         };
         match outcome {
             Ok(out) => ok_response([
@@ -969,425 +970,6 @@ fn metrics_json(m: &Metrics) -> Value {
         ("jumps", Value::num(m.jumps)),
         ("max_stack", Value::num(m.max_stack as u64)),
     ])
-}
-
-/// One program's serve-bench measurement.
-#[derive(Clone, Debug)]
-pub struct ServeBenchRow {
-    /// Program name.
-    pub name: String,
-    /// Suite name.
-    pub suite: String,
-    /// First compile: both layers miss, full frontend + pipeline.
-    pub cold_ns: u128,
-    /// α-hit: the text was perturbed (fresh comment), so the frontend
-    /// re-runs but the term cache serves the passes (best of three).
-    pub warm_ns: u128,
-    /// Textual hit: byte-identical source, pure refcount bump (best of
-    /// three).
-    pub hot_ns: u128,
-    /// Restart-warm: the first compile on a *fresh* server sharing the
-    /// first server's cache directory — both memory layers cold, served
-    /// by a verified disk hit (frontend + α-check + lint, zero passes).
-    pub restart_ns: u128,
-}
-
-/// The `fj bench --phase serve` measurement: per-program cold (miss) vs
-/// warm (term-cache hit) vs hot (source-cache hit) compile latency
-/// through a live in-process [`ServerState`].
-#[derive(Clone, Debug)]
-pub struct ServeBench {
-    /// Per-program rows, in input order.
-    pub rows: Vec<ServeBenchRow>,
-    /// Term-cache counters at the end of the run (first server).
-    pub cache: CacheStats,
-    /// Textual front-cache hits at the end of the run (first server).
-    pub source_hits: u64,
-    /// Counters of the restarted server: its `disk_hits` is the number
-    /// of programs served warm from the persistent tier.
-    pub restart_cache: CacheStats,
-}
-
-/// Measure cold/warm/hot/restart compile latency for
-/// `(name, suite, source)` programs. Cold/warm/hot run through a fresh
-/// *storeless* server so those rows measure exactly what they always
-/// did (no write-behind fsync in the cold path); a second, untimed
-/// server then populates a scratch cache directory, and a third fresh
-/// server sharing that directory measures the restart-warm row.
-/// Programs that fail to compile are skipped (the bench measures the
-/// cache, not the frontend).
-pub fn run_bench_serve(programs: &[(String, String, String)]) -> ServeBench {
-    // A scratch persistent tier so the bench can measure a restart.
-    let dir = std::env::temp_dir().join(format!("fj-bench-serve-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = FileStore::open(&dir).ok().map(Arc::new);
-    let with_store = |mut state: ServerState| {
-        if let Some(store) = &store {
-            state = state.with_store(Arc::clone(store) as Arc<dyn CacheStore>);
-        }
-        state
-    };
-    let state = ServerState::with_defaults();
-    let opts = CompileOpts::default();
-    let mut rows = Vec::with_capacity(programs.len());
-    let mut survivors = Vec::with_capacity(programs.len());
-    for (name, suite, source) in programs {
-        let cold_started = Instant::now();
-        let cold = state.compile_source(source, &opts);
-        let cold_ns = cold_started.elapsed().as_nanos();
-        let Ok(cold) = cold else { continue };
-        debug_assert_eq!(cold.cache, CacheDisposition::Miss);
-        // Warm: a fresh trailing comment each time defeats the textual
-        // layer but lowers to an α-equal term, so the term cache serves.
-        let mut warm_ns = u128::MAX;
-        for i in 0..3 {
-            let perturbed = format!("{source}\n-- warm probe {i}\n");
-            let warm_started = Instant::now();
-            let warm = state.compile_source(&perturbed, &opts);
-            warm_ns = warm_ns.min(warm_started.elapsed().as_nanos());
-            debug_assert!(matches!(warm, Ok(ref c) if c.cache == CacheDisposition::Hit));
-            drop(warm);
-        }
-        // Hot: byte-identical source, served by the textual layer.
-        let mut hot_ns = u128::MAX;
-        for _ in 0..3 {
-            let hot_started = Instant::now();
-            let hot = state.compile_source(source, &opts);
-            hot_ns = hot_ns.min(hot_started.elapsed().as_nanos());
-            debug_assert!(matches!(hot, Ok(ref c) if c.cache == CacheDisposition::Hit));
-            drop(hot);
-        }
-        rows.push(ServeBenchRow {
-            name: name.clone(),
-            suite: suite.clone(),
-            cold_ns,
-            warm_ns,
-            hot_ns,
-            restart_ns: 0,
-        });
-        survivors.push(source.clone());
-    }
-    // Populate the persistent tier (untimed): a store-backed server
-    // compiles every survivor cold, paying the write-behind here so the
-    // timed rows above and below never include a disk write.
-    let populate = with_store(ServerState::with_defaults());
-    for source in &survivors {
-        let _ = populate.compile_source(source, &opts);
-    }
-    // Restart: a fresh server, memory layers empty, same cache
-    // directory. The first (and only timed) compile of each program must
-    // be served by the persistent tier.
-    let restarted = with_store(ServerState::with_defaults());
-    for (row, source) in rows.iter_mut().zip(&survivors) {
-        let started = Instant::now();
-        let warm = restarted.compile_source(source, &opts);
-        row.restart_ns = started.elapsed().as_nanos();
-        debug_assert!(matches!(warm, Ok(ref c) if c.cache == CacheDisposition::Hit));
-        drop(warm);
-    }
-    let bench = ServeBench {
-        rows,
-        cache: state.cache_stats(),
-        source_hits: state.source_hits(),
-        restart_cache: restarted.cache_stats(),
-    };
-    let _ = std::fs::remove_dir_all(&dir);
-    bench
-}
-
-/// Render a [`ServeBench`] as the `BENCH_serve.json` snapshot
-/// (hand-written JSON; the workspace takes no serialization dependency).
-pub fn format_bench_serve_json(bench: &ServeBench) -> String {
-    use std::fmt::Write;
-    let ratio = |cold: u128, hot: u128| {
-        if hot == 0 {
-            f64::INFINITY
-        } else {
-            cold as f64 / hot as f64
-        }
-    };
-    let mut out = String::new();
-    writeln!(out, "{{").unwrap();
-    writeln!(out, "  \"generated_by\": \"fj bench --phase serve\",").unwrap();
-    writeln!(out, "  \"pipeline\": \"join_points\",").unwrap();
-    writeln!(out, "  \"unit\": \"nanoseconds\",").unwrap();
-    writeln!(out, "  \"programs\": [").unwrap();
-    for (i, r) in bench.rows.iter().enumerate() {
-        let comma = if i + 1 == bench.rows.len() { "" } else { "," };
-        writeln!(
-            out,
-            "    {{\"name\": \"{}\", \"suite\": \"{}\", \"cold_ns\": {}, \"warm_ns\": {}, \
-             \"hot_ns\": {}, \"restart_ns\": {}, \"warm_speedup\": {:.2}, \
-             \"hot_speedup\": {:.2}, \"restart_speedup\": {:.2}}}{comma}",
-            r.name,
-            r.suite,
-            r.cold_ns,
-            r.warm_ns,
-            r.hot_ns,
-            r.restart_ns,
-            ratio(r.cold_ns, r.warm_ns),
-            ratio(r.cold_ns, r.hot_ns),
-            ratio(r.cold_ns, r.restart_ns)
-        )
-        .unwrap();
-    }
-    writeln!(out, "  ],").unwrap();
-    let cold_total: u128 = bench.rows.iter().map(|r| r.cold_ns).sum();
-    let warm_total: u128 = bench.rows.iter().map(|r| r.warm_ns).sum();
-    let hot_total: u128 = bench.rows.iter().map(|r| r.hot_ns).sum();
-    let restart_total: u128 = bench.rows.iter().map(|r| r.restart_ns).sum();
-    let hits = bench.cache.hits + bench.source_hits;
-    let requests = hits + bench.cache.misses;
-    let hit_rate = if requests == 0 {
-        0.0
-    } else {
-        hits as f64 / requests as f64
-    };
-    writeln!(
-        out,
-        "  \"total\": {{\"cold_ns\": {}, \"warm_ns\": {}, \"hot_ns\": {}, \
-         \"restart_ns\": {}, \"warm_speedup\": {:.2}, \"hit_speedup\": {:.2}, \
-         \"restart_speedup\": {:.2}, \"requests\": {}, \
-         \"term_hits\": {}, \"source_hits\": {}, \"misses\": {}, \"hit_rate\": {:.4}}},",
-        cold_total,
-        warm_total,
-        hot_total,
-        restart_total,
-        ratio(cold_total, warm_total),
-        ratio(cold_total, hot_total),
-        ratio(cold_total, restart_total),
-        requests,
-        bench.cache.hits,
-        bench.source_hits,
-        bench.cache.misses,
-        hit_rate
-    )
-    .unwrap();
-    let disk = &bench.restart_cache;
-    writeln!(
-        out,
-        "  \"restart\": {{\"disk_hits\": {}, \"disk_loads\": {}, \"disk_misses\": {}, \
-         \"disk_verify_failures\": {}, \"pipeline_misses\": {}}}",
-        disk.disk_hits, disk.disk_loads, disk.disk_misses, disk.disk_verify_failures, disk.misses
-    )
-    .unwrap();
-    writeln!(out, "}}").unwrap();
-    out
-}
-
-/// One connection-count stage of the `serve-load` bench.
-#[derive(Clone, Debug)]
-pub struct LoadRow {
-    /// Concurrent client connections in this stage.
-    pub conns: usize,
-    /// Requests sent across all connections.
-    pub requests: u64,
-    /// Requests answered `ok: true`.
-    pub completed: u64,
-    /// Requests shed with `overloaded`.
-    pub shed: u64,
-    /// Requests answered with any other error (should be zero: the load
-    /// generator only sends well-formed compiles).
-    pub failed: u64,
-    /// Median request latency, microseconds.
-    pub p50_us: u64,
-    /// 90th-percentile request latency, microseconds.
-    pub p90_us: u64,
-    /// 99th-percentile request latency, microseconds.
-    pub p99_us: u64,
-    /// Completed requests per second of client wall time.
-    pub throughput_rps: f64,
-}
-
-/// The `fj bench --phase serve-load` measurement: latency percentiles
-/// and shed rate vs concurrent connection count, against a live TCP
-/// server with the default pool geometry.
-#[derive(Clone, Debug)]
-pub struct LoadBench {
-    /// One row per connection count, ascending.
-    pub rows: Vec<LoadRow>,
-    /// Worker-pool size the server ran with.
-    pub workers: usize,
-    /// Request-queue capacity the server ran with.
-    pub queue_cap: usize,
-    /// Requests sent per connection per stage.
-    pub per_conn: usize,
-}
-
-fn percentile_us(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-/// Drive a live server with `conns` concurrent clients, each sending
-/// `per_conn` compile requests round-robin over `programs`. Each stage
-/// starts a fresh server (pre-warmed so every request is a cache hit:
-/// the bench measures the *service*, not the optimizer).
-///
-/// # Errors
-///
-/// Propagates socket-setup errors; per-request failures are counted,
-/// not raised.
-pub fn run_bench_serve_load(
-    programs: &[(String, String, String)],
-    conn_counts: &[usize],
-    per_conn: usize,
-) -> std::io::Result<LoadBench> {
-    let cfg = ServeConfig::default();
-    let mut rows = Vec::with_capacity(conn_counts.len());
-    for &conns in conn_counts {
-        let state = Arc::new(ServerState::with_config(
-            DEFAULT_SHARDS,
-            DEFAULT_CACHE_BYTES,
-            cfg.clone(),
-        ));
-        // Pre-warm both cache layers so stage latency is service latency.
-        let opts = CompileOpts::default();
-        for (_, _, source) in programs {
-            let _ = state.compile_source(source, &opts);
-        }
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        let server = std::thread::spawn({
-            let state = Arc::clone(&state);
-            move || serve(listener, state)
-        });
-
-        let started = Instant::now();
-        let mut clients = Vec::with_capacity(conns);
-        for c in 0..conns {
-            let programs = programs.to_vec();
-            clients.push(std::thread::spawn(move || -> std::io::Result<_> {
-                let stream = TcpStream::connect(addr)?;
-                stream.set_nodelay(true)?;
-                let mut reader = BufReader::new(stream.try_clone()?);
-                let mut writer = stream;
-                let mut latencies = Vec::with_capacity(per_conn);
-                let (mut completed, mut shed, mut failed) = (0u64, 0u64, 0u64);
-                for i in 0..per_conn {
-                    let (_, _, source) = &programs[(c + i) % programs.len()];
-                    let mut req = Value::obj([
-                        ("op", Value::str("compile")),
-                        ("program", Value::str(source.as_str())),
-                    ])
-                    .to_string();
-                    req.push('\n');
-                    let sent = Instant::now();
-                    writer.write_all(req.as_bytes())?;
-                    writer.flush()?;
-                    let mut resp = String::new();
-                    reader.read_line(&mut resp)?;
-                    latencies.push(sent.elapsed().as_micros() as u64);
-                    if resp.starts_with("{\"ok\": true") {
-                        completed += 1;
-                    } else if resp.contains("\"tag\": \"overloaded\"") {
-                        shed += 1;
-                    } else {
-                        failed += 1;
-                    }
-                }
-                Ok((latencies, completed, shed, failed))
-            }));
-        }
-        let mut latencies = Vec::with_capacity(conns * per_conn);
-        let (mut completed, mut shed, mut failed) = (0u64, 0u64, 0u64);
-        for client in clients {
-            let (lat, c, s, f) = client.join().expect("load client panicked")?;
-            latencies.extend(lat);
-            completed += c;
-            shed += s;
-            failed += f;
-        }
-        let elapsed = started.elapsed();
-
-        // Tear the stage's server down cleanly before the next stage.
-        if let Ok(ctl) = TcpStream::connect(addr) {
-            let mut reader = BufReader::new(ctl.try_clone()?);
-            let mut ctl = ctl;
-            let _ = ctl.write_all(b"{\"op\": \"shutdown\"}\n");
-            let mut bye = String::new();
-            let _ = reader.read_line(&mut bye);
-        }
-        let _ = server.join();
-
-        latencies.sort_unstable();
-        let requests = (conns * per_conn) as u64;
-        rows.push(LoadRow {
-            conns,
-            requests,
-            completed,
-            shed,
-            failed,
-            p50_us: percentile_us(&latencies, 0.50),
-            p90_us: percentile_us(&latencies, 0.90),
-            p99_us: percentile_us(&latencies, 0.99),
-            throughput_rps: if elapsed.as_secs_f64() > 0.0 {
-                completed as f64 / elapsed.as_secs_f64()
-            } else {
-                0.0
-            },
-        });
-    }
-    Ok(LoadBench {
-        rows,
-        workers: cfg.workers,
-        queue_cap: cfg.queue_cap,
-        per_conn,
-    })
-}
-
-/// Render a [`LoadBench`] as the `BENCH_serve_load.json` snapshot.
-pub fn format_bench_serve_load_json(bench: &LoadBench) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    writeln!(out, "{{").unwrap();
-    writeln!(out, "  \"generated_by\": \"fj bench --phase serve-load\",").unwrap();
-    writeln!(out, "  \"unit\": \"microseconds\",").unwrap();
-    writeln!(out, "  \"workers\": {},", bench.workers).unwrap();
-    writeln!(out, "  \"queue_cap\": {},", bench.queue_cap).unwrap();
-    writeln!(out, "  \"requests_per_conn\": {},", bench.per_conn).unwrap();
-    writeln!(out, "  \"rows\": [").unwrap();
-    for (i, r) in bench.rows.iter().enumerate() {
-        let comma = if i + 1 == bench.rows.len() { "" } else { "," };
-        let shed_rate = if r.requests == 0 {
-            0.0
-        } else {
-            r.shed as f64 / r.requests as f64
-        };
-        writeln!(
-            out,
-            "    {{\"conns\": {}, \"requests\": {}, \"completed\": {}, \"shed\": {}, \
-             \"failed\": {}, \"shed_rate\": {:.4}, \"p50_us\": {}, \"p90_us\": {}, \
-             \"p99_us\": {}, \"throughput_rps\": {:.1}}}{comma}",
-            r.conns,
-            r.requests,
-            r.completed,
-            r.shed,
-            r.failed,
-            shed_rate,
-            r.p50_us,
-            r.p90_us,
-            r.p99_us,
-            r.throughput_rps
-        )
-        .unwrap();
-    }
-    writeln!(out, "  ],").unwrap();
-    let requests: u64 = bench.rows.iter().map(|r| r.requests).sum();
-    let completed: u64 = bench.rows.iter().map(|r| r.completed).sum();
-    let shed: u64 = bench.rows.iter().map(|r| r.shed).sum();
-    let failed: u64 = bench.rows.iter().map(|r| r.failed).sum();
-    writeln!(
-        out,
-        "  \"total\": {{\"requests\": {requests}, \"completed\": {completed}, \
-         \"shed\": {shed}, \"failed\": {failed}}}"
-    )
-    .unwrap();
-    writeln!(out, "}}").unwrap();
-    out
 }
 
 #[cfg(test)]
@@ -1606,6 +1188,36 @@ def main : Int =
         }
     }
 
+    /// Malformed `run` fields are refused at the protocol before the
+    /// program is compiled, so they leave no cache entry behind.
+    #[test]
+    fn run_op_rejects_bad_backend_or_mode_before_compiling() {
+        let state = ServerState::with_defaults();
+        for (field, value) in [
+            ("backend", Value::num(5)),
+            ("mode", Value::num(5)),
+            ("backend", Value::str("gpu")),
+        ] {
+            let req = Value::obj([
+                ("op", Value::str("run")),
+                ("program", Value::str(PROGRAM)),
+                (field, value),
+            ])
+            .to_string();
+            let (resp, _) = state.handle_line(&req);
+            let v = json::parse(&resp).unwrap();
+            let err = v.get("error").unwrap_or_else(|| panic!("{req}: {resp}"));
+            assert_eq!(
+                err.get("tag").and_then(Value::as_str),
+                Some("proto"),
+                "{resp}"
+            );
+            assert_eq!(err.get("code").and_then(Value::as_u64), Some(2), "{resp}");
+        }
+        assert_eq!(state.cache_stats().misses, 0);
+        assert_eq!(state.source_occupancy().0, 0);
+    }
+
     #[test]
     fn batch_compile_fans_out_and_keeps_order() {
         let state = ServerState::with_defaults();
@@ -1654,6 +1266,7 @@ def main : Int =
     #[test]
     fn live_tcp_round_trip_and_shutdown() {
         use std::io::{BufRead, BufReader, Write};
+        use std::net::{TcpListener, TcpStream};
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let state = Arc::new(ServerState::with_defaults());
@@ -1678,46 +1291,6 @@ def main : Int =
         assert!(bye.contains("\"shutting_down\": true"), "{bye}");
         server.join().unwrap().unwrap();
         assert!(state.shutting_down());
-    }
-
-    #[test]
-    fn bench_serve_shows_hit_speedup() {
-        let programs = vec![(
-            "count".to_string(),
-            "spectral".to_string(),
-            PROGRAM.to_string(),
-        )];
-        let bench = run_bench_serve(&programs);
-        assert_eq!(bench.rows.len(), 1);
-        assert_eq!(bench.cache.misses, 1);
-        assert_eq!(bench.cache.hits, 3, "three warm probes must α-hit");
-        assert_eq!(bench.source_hits, 3, "three hot repeats must text-hit");
-        // The restarted server never ran a pipeline: every program was
-        // served warm from the persistent tier.
-        assert_eq!(
-            bench.restart_cache.disk_hits, 1,
-            "{:?}",
-            bench.restart_cache
-        );
-        assert_eq!(bench.restart_cache.misses, 0, "{:?}", bench.restart_cache);
-        assert!(bench.rows[0].restart_ns > 0);
-        let json_text = format_bench_serve_json(&bench);
-        for key in [
-            "generated_by",
-            "cold_ns",
-            "warm_ns",
-            "hot_ns",
-            "restart_ns",
-            "hit_speedup",
-            "restart_speedup",
-            "hit_rate",
-            "\"term_hits\": 3",
-            "\"source_hits\": 3",
-            "\"disk_hits\": 1",
-            "\"pipeline_misses\": 0",
-        ] {
-            assert!(json_text.contains(key), "missing {key} in {json_text}");
-        }
     }
 
     #[test]

@@ -99,8 +99,16 @@ pub fn parse_entry(tokens: &[Spanned]) -> Result<(Vec<SData>, SExpr), SurfaceErr
 /// Hard ceiling on grammar recursion depth. Each level of expression or
 /// type nesting costs a handful of stack frames, so 500 levels stays well
 /// inside the default 2 MiB test-thread stack while still accepting any
-/// program a human (or the generator) writes. Deeper input gets a clean
-/// `ParseError` instead of a stack overflow.
+/// program a human (or the generator) writes. Deeper nesting gets a clean
+/// `ParseError` instead of overflowing the parser's stack.
+///
+/// It bounds the parser only, and only nesting. Two shapes parse at any
+/// length yet lower to a Core term as deep as they are long: a chain of
+/// binary operators (`1 + 1 + … + 1`) and many top-level `def`s (one
+/// `let` each). On a 2 MiB thread, as every `fj serve` thread has, under
+/// a thousand of either overflow the stack of the optimizer or erasure,
+/// and a stack overflow aborts the process. One depth budget for every
+/// stage is an open item ("No input may abort the process", ROADMAP.md).
 pub const MAX_NESTING_DEPTH: usize = 500;
 
 struct Parser<'a> {

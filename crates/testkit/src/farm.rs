@@ -2,8 +2,9 @@
 //! parallel, with shrinking repros.
 //!
 //! [`run_farm`] fans generated programs out over the same scoped-thread
-//! pool that backs `optimize_many` ([`fj_core::par_map`]) and runs each
-//! one through the full **route matrix**:
+//! pool that backs the compile service's batch `compile`
+//! ([`fj_core::par_map`]) and runs each one through the full **route
+//! matrix**:
 //!
 //! | routes                  | oracle                                   |
 //! |-------------------------|------------------------------------------|

@@ -28,6 +28,12 @@ run cargo clippy --workspace --all-targets --offline -- -D warnings
 # instruction stream to the machine.
 run cargo test --workspace --offline -q
 
+# The benchmark is its own workspace, so the builds above never compile
+# it; it depends on public items of the crates here. `check`, not
+# `benchmark/run.sh`: every run appends to benchmark/out/results.jsonl,
+# and a smoke record there would spoil a later `compare`.
+run cargo check --offline --manifest-path benchmark/Cargo.toml --all-targets
+
 # Fuzz-farm smoke: a fixed-seed, time-budgeted pass over the full route
 # matrix (strict/resilient/cached/machine/VM) must agree on every case.
 # The binary exists because the test run above built it.
@@ -69,42 +75,9 @@ if [[ "$QUICK" -eq 0 ]]; then
   # The headline acceptance check: the report must render, and the
   # join-points pipeline must win on the contification-sensitive rows
   # (asserted in detail by the fj-nofib test suite; this is the smoke
-  # pass over the real binary).
+  # pass over the real binary). Building it also checks every program's
+  # VM value and counters against the machine, and its native candle.
   run ./target/release/fj report >/dev/null
-  # VM backend smoke: `fj bench` runs every nofib program on both the
-  # substitution machine and the bytecode VM and asserts they agree on
-  # the value and the allocation counters before timing them (and each
-  # native candle against the VM). The snapshot must carry the
-  # standard-candle schema: candle_ns plus vm_over_candle, the
-  # distance-from-hardware ratio.
-  VM_SMOKE="$(mktemp)"
-  echo '==> ./target/release/fj bench'
-  ./target/release/fj bench > "$VM_SMOKE"
-  for key in '"machine_ns"' '"vm_ns"' '"speedup"' '"candle_ns"' \
-             '"vm_over_candle"' '"total_allocs"' '"jumps"'; do
-    grep -q "$key" "$VM_SMOKE" || {
-      echo "verify: BENCH_vm schema missing $key" >&2
-      exit 1
-    }
-  done
-  rm -f "$VM_SMOKE"
-
-  # Optimizer bench smoke: a 1-iteration `--phase optimize` run must
-  # produce a BENCH_opt.json-shaped snapshot (no timing assertions —
-  # this checks the harness and the schema, not the numbers).
-  OPT_SMOKE="$(mktemp)"
-  echo '==> ./target/release/fj bench --phase optimize --iterations 1'
-  ./target/release/fj bench --phase optimize --iterations 1 > "$OPT_SMOKE"
-  for key in '"generated_by"' '"pipeline"' '"iterations"' '"threads"' \
-             '"programs"' '"optimize_ns"' '"passes"' '"serial_ns"' \
-             '"parallel_ns"' '"parallel_speedup"'; do
-    grep -q "$key" "$OPT_SMOKE" || {
-      echo "verify: BENCH_opt schema missing $key" >&2
-      exit 1
-    }
-  done
-  rm -f "$OPT_SMOKE"
-
   # Serve smoke: start the compile service on an ephemeral port, compile
   # the same program twice over raw TCP, and require the second response
   # to be flagged as a cache hit before a clean shutdown.
@@ -182,38 +155,6 @@ if [[ "$QUICK" -eq 0 ]]; then
     exit 1
   }
   rm -rf "$RESTART_DIR"
-
-  # Serve bench smoke: the cold/warm/hot/restart-warm snapshot must keep
-  # its schema.
-  SERVE_SMOKE="$(mktemp)"
-  echo '==> ./target/release/fj bench --phase serve'
-  ./target/release/fj bench --phase serve > "$SERVE_SMOKE"
-  for key in '"generated_by"' '"programs"' '"cold_ns"' '"warm_ns"' \
-             '"hot_ns"' '"warm_speedup"' '"hit_speedup"' '"term_hits"' \
-             '"source_hits"' '"hit_rate"' '"restart_ns"' \
-             '"restart_speedup"' '"restart"' '"disk_hits"' \
-             '"pipeline_misses"'; do
-    grep -q "$key" "$SERVE_SMOKE" || {
-      echo "verify: BENCH_serve schema missing $key" >&2
-      exit 1
-    }
-  done
-  rm -f "$SERVE_SMOKE"
-
-  # Serve-load bench smoke: the concurrency snapshot must keep its
-  # schema — percentiles, throughput, and shed accounting per row.
-  LOAD_SMOKE="$(mktemp)"
-  echo '==> ./target/release/fj bench --phase serve-load'
-  ./target/release/fj bench --phase serve-load > "$LOAD_SMOKE"
-  for key in '"generated_by"' '"workers"' '"queue_cap"' '"conns"' \
-             '"p50_us"' '"p90_us"' '"p99_us"' '"throughput_rps"' \
-             '"shed_rate"' '"total"'; do
-    grep -q "$key" "$LOAD_SMOKE" || {
-      echo "verify: BENCH_serve_load schema missing $key" >&2
-      exit 1
-    }
-  done
-  rm -f "$LOAD_SMOKE"
 fi
 
 echo "verify: all checks passed"

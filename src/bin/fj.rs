@@ -13,21 +13,11 @@
 //! fj check program.fj               # lint only
 //! fj erase program.fj               # print the join-free System F term
 //! fj report                         # nofib: baseline vs join points,
-//!                                   # Table-1-style markdown + pass stats
+//!                                   # Table-1-style markdown + pass stats,
+//!                                   # machine / VM / native-candle times
 //! fj report --vm-ops                # VM opcode histogram over nofib:
 //!                                   # top ops/pairs/triples, unfused vs
 //!                                   # fused dispatch counts
-//! fj bench                          # nofib timed on both backends,
-//!                                   # JSON on stdout (BENCH_vm.json)
-//! fj bench --phase optimize         # nofib timed through the optimizer,
-//!                                   # JSON on stdout (BENCH_opt.json)
-//! fj bench --phase serve            # nofib compiled twice through a live
-//!                                   # compile service: cache-miss vs
-//!                                   # cache-hit latency (BENCH_serve.json)
-//! fj bench --phase serve-load       # concurrency load generator against
-//!                                   # a live service: latency percentiles
-//!                                   # and shed rate vs connection count
-//!                                   # (BENCH_serve_load.json)
 //! fj serve --port 0                 # compile service on an ephemeral
 //!                                   # port (prints the bound address)
 //! fj serve --workers 4 --queue 32   # explicit pool geometry: requests
@@ -43,8 +33,7 @@
 //! options: --baseline | -O0, --backend machine|vm, --mode name|need|value,
 //!          --fuel N, --timeout-ms N, --metrics, --resilient,
 //!          --pass-deadline-ms N, --max-growth F, --max-passes N,
-//!          --phase vm|optimize|serve|serve-load, --iterations N, --warmup N
-//!          (bench only), --addr HOST:PORT, --port N, --shards N, --cache-bytes N,
+//!          --addr HOST:PORT, --port N, --shards N, --cache-bytes N,
 //!          --cache-dir DIR, --workers N, --queue N, --max-conns N,
 //!          --max-line BYTES, --idle-timeout-ms N, --drain-ms N (serve only),
 //!          --seed N, --count N, --gen-depth N, --time-budget-ms N,
@@ -95,10 +84,7 @@ struct Options {
     metrics: bool,
     before: bool,
     resilient: bool,
-    phase: BenchPhase,
     vm_ops: bool,
-    iterations: u32,
-    warmup: u32,
     addr: String,
     shards: usize,
     cache_bytes: usize,
@@ -107,28 +93,15 @@ struct Options {
     fuzz: FarmConfig,
 }
 
-/// What `fj bench` measures: backend execution, the optimizer itself,
-/// the compile service's cache-miss vs cache-hit latency, or the
-/// service under concurrent load (percentiles + shed rate).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum BenchPhase {
-    Vm,
-    Optimize,
-    Serve,
-    ServeLoad,
-}
-
 fn usage() -> ExitCode {
     eprintln!(
         "usage: fj <run|dump|check|erase> [--baseline | -O0] [--backend machine|vm] \
          [--mode name|need|value] [--fuel N] [--timeout-ms N] [--metrics] [--before] \
          [--resilient] [--pass-deadline-ms N] [--max-growth F] [--max-passes N] <file.fj>\n\
          \x20      fj report [--vm-ops]\n\
-         \x20                  (nofib suite: baseline vs join points, markdown;\n\
+         \x20                  (nofib suite: baseline vs join points and backend\n\
+         \x20                   times against native candles, markdown;\n\
          \x20                   --vm-ops prints the VM opcode-dispatch histogram)\n\
-         \x20      fj bench [--phase vm|optimize|serve|serve-load] [--iterations N]\n\
-         \x20               [--warmup N]\n\
-         \x20                  (nofib suite timed, JSON on stdout)\n\
          \x20      fj serve [--addr HOST:PORT] [--port N] [--shards N]\n\
          \x20               [--cache-bytes N] [--cache-dir DIR]\n\
          \x20               [--workers N] [--queue N] [--max-conns N] [--max-line BYTES]\n\
@@ -157,7 +130,7 @@ fn parse_args() -> Result<Options, ExitCode> {
     };
     if !matches!(
         command.as_str(),
-        "run" | "dump" | "check" | "erase" | "report" | "bench" | "serve" | "fuzz"
+        "run" | "dump" | "check" | "erase" | "report" | "serve" | "fuzz"
     ) {
         return Err(usage());
     }
@@ -170,10 +143,7 @@ fn parse_args() -> Result<Options, ExitCode> {
     let mut metrics = false;
     let mut before = false;
     let mut resilient = false;
-    let mut phase = BenchPhase::Vm;
     let mut vm_ops = false;
-    let mut iterations = 1u32;
-    let mut warmup = 0u32;
     let mut addr = "127.0.0.1:7117".to_string();
     let mut shards = system_fj::core::cache::DEFAULT_SHARDS;
     let mut cache_bytes = system_fj::core::cache::DEFAULT_CACHE_BYTES;
@@ -259,15 +229,6 @@ fn parse_args() -> Result<Options, ExitCode> {
                 let n: usize = args.next().and_then(|n| n.parse().ok()).ok_or_else(usage)?;
                 config = config.with_max_passes(n);
             }
-            "--phase" => {
-                phase = match args.next().as_deref() {
-                    Some("vm") => BenchPhase::Vm,
-                    Some("optimize") => BenchPhase::Optimize,
-                    Some("serve") => BenchPhase::Serve,
-                    Some("serve-load") => BenchPhase::ServeLoad,
-                    _ => return Err(usage()),
-                };
-            }
             "--workers" => {
                 let n: usize = args.next().and_then(|n| n.parse().ok()).ok_or_else(usage)?;
                 serve_cfg.workers = n.max(1);
@@ -308,12 +269,6 @@ fn parse_args() -> Result<Options, ExitCode> {
             "--cache-dir" => {
                 cache_dir = Some(std::path::PathBuf::from(args.next().ok_or_else(usage)?));
             }
-            "--iterations" => {
-                iterations = args.next().and_then(|n| n.parse().ok()).ok_or_else(usage)?;
-            }
-            "--warmup" => {
-                warmup = args.next().and_then(|n| n.parse().ok()).ok_or_else(usage)?;
-            }
             _ if file.is_none() && !a.starts_with('-') => file = Some(a),
             _ => return Err(usage()),
         }
@@ -322,36 +277,13 @@ fn parse_args() -> Result<Options, ExitCode> {
         fuel = f;
         fuzz.fuel = f;
     }
-    // `report`, `bench`, `serve`, and `fuzz` take no file: the suite
-    // commands run built-in programs, the service reads them off the
-    // wire, and the farm generates its own.
-    if matches!(command.as_str(), "report" | "bench" | "serve" | "fuzz") {
-        return Ok(Options {
-            command,
-            file: String::new(),
-            config,
-            config_name,
-            mode,
-            backend,
-            fuel,
-            timeout,
-            metrics,
-            before,
-            resilient,
-            phase,
-            vm_ops,
-            iterations,
-            warmup,
-            addr,
-            shards,
-            cache_bytes,
-            cache_dir,
-            serve_cfg,
-            fuzz,
-        });
-    }
-    let Some(file) = file else {
-        return Err(usage());
+    // `report`, `serve`, and `fuzz` take no file: the suite command
+    // runs built-in programs, the service reads them off the wire, and
+    // the farm generates its own.
+    let file = if matches!(command.as_str(), "report" | "serve" | "fuzz") {
+        String::new()
+    } else {
+        file.ok_or_else(usage)?
     };
     Ok(Options {
         command,
@@ -365,10 +297,7 @@ fn parse_args() -> Result<Options, ExitCode> {
         metrics,
         before,
         resilient,
-        phase,
         vm_ops,
-        iterations,
-        warmup,
         addr,
         shards,
         cache_bytes,
@@ -390,60 +319,6 @@ fn main() -> ExitCode {
         } else {
             let rows = system_fj::nofib::run_report();
             print!("{}", system_fj::nofib::format_report(&rows));
-        }
-        return ExitCode::SUCCESS;
-    }
-    if opts.command == "bench" {
-        match opts.phase {
-            BenchPhase::Vm => {
-                let rows = system_fj::nofib::run_bench(opts.iterations, opts.warmup);
-                print!("{}", system_fj::nofib::format_bench_json(&rows));
-            }
-            BenchPhase::Optimize => {
-                let bench = system_fj::nofib::run_bench_opt(opts.iterations, opts.warmup);
-                print!("{}", system_fj::nofib::format_bench_opt_json(&bench));
-            }
-            BenchPhase::Serve => {
-                // The service crate is nofib-blind; hand it the suite as
-                // plain (name, suite, source) rows.
-                let programs: Vec<(String, String, String)> = system_fj::nofib::programs()
-                    .iter()
-                    .map(|p| {
-                        (
-                            p.name.to_string(),
-                            p.suite.name().to_string(),
-                            p.source.to_string(),
-                        )
-                    })
-                    .collect();
-                let bench = system_fj::server::run_bench_serve(&programs);
-                print!("{}", system_fj::server::format_bench_serve_json(&bench));
-            }
-            BenchPhase::ServeLoad => {
-                let programs: Vec<(String, String, String)> = system_fj::nofib::programs()
-                    .iter()
-                    .map(|p| {
-                        (
-                            p.name.to_string(),
-                            p.suite.name().to_string(),
-                            p.source.to_string(),
-                        )
-                    })
-                    .collect();
-                let conns = [1usize, 2, 4, 8, 16, 32];
-                match system_fj::server::run_bench_serve_load(&programs, &conns, 25) {
-                    Ok(bench) => {
-                        print!(
-                            "{}",
-                            system_fj::server::format_bench_serve_load_json(&bench)
-                        );
-                    }
-                    Err(e) => {
-                        eprintln!("fj: bench serve-load: {e}");
-                        return ExitCode::from(1);
-                    }
-                }
-            }
         }
         return ExitCode::SUCCESS;
     }

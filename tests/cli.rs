@@ -113,6 +113,15 @@ fn report_renders_markdown_comparison() {
     assert!(stdout.contains("## Machine metrics"), "{stdout}");
     assert!(stdout.contains("## Optimizer activity"), "{stdout}");
     assert!(stdout.contains("| n-body |"), "{stdout}");
+    // The backend table times VM codegen and execution apart, beside the
+    // native candle, with a geomean row under both ratios.
+    assert!(
+        stdout.contains(
+            "| machine | vm codegen | vm exec | candle | machine / vm exec | vm exec / candle |"
+        ),
+        "{stdout}"
+    );
+    assert!(stdout.contains("| geomean | | | | | "), "{stdout}");
     // The headline shootout row: join points erase all allocations.
     assert!(stdout.contains("-100.0%"), "{stdout}");
 }

@@ -80,7 +80,7 @@
 //! back refcounted pointers to the optimized term and its
 //! [`PipelineReport`] and runs **zero passes**.
 
-use crate::pipeline::{optimize_resilient, optimize_with_report, OptConfig};
+use crate::pipeline::{optimize_with_report, OptConfig, Recovery};
 use crate::stats::{Census, PipelineReport};
 use crate::OptError;
 use fj_ast::{alpha_eq, alpha_fingerprint, DataEnv, Expr, FxHashMap, NameSupply};
@@ -509,9 +509,9 @@ fn wait_on(flight: &Flight) -> Waited {
 
 /// Optimize through the cache: serve an α-verified hit when one exists,
 /// otherwise coalesce onto an in-flight identical compile, otherwise
-/// consult the persistent tier, otherwise run the pipeline (strict
-/// [`optimize_with_report`] or [`optimize_resilient`] per `resilient`)
-/// and memoize the result in every tier.
+/// consult the persistent tier, otherwise run the pipeline
+/// ([`optimize_with_report`], strict or resilient per `cfg.recovery`) and
+/// memoize the result in every tier.
 ///
 /// The returned flag is `true` exactly when the result came from a cache
 /// tier or a coalesced flight — in which case **zero passes ran** and
@@ -527,7 +527,7 @@ fn wait_on(flight: &Flight) -> Waited {
 /// # Errors
 ///
 /// [`OptError::Type`](crate::OptError::Type) for ill-typed input,
-/// otherwise exactly the errors of the underlying pipeline entry point.
+/// otherwise exactly the errors of [`optimize_with_report`].
 /// Failed runs are never cached (an error may be budget-dependent and
 /// transient), and neither are resilient runs that rolled a pass back for
 /// its deadline.
@@ -537,7 +537,6 @@ pub fn optimize_cached(
     data_env: &DataEnv,
     supply: &mut NameSupply,
     cfg: &OptConfig,
-    resilient: bool,
     cache: &OptCache,
 ) -> Result<(Arc<Expr>, Arc<PipelineReport>, bool), OptError> {
     // Lint gates every *pipeline run*; verified hits skip it. That is
@@ -546,11 +545,7 @@ pub fn optimize_cached(
     // was inserted.
     let run = |supply: &mut NameSupply| {
         fj_check::lint(e, data_env)?;
-        if resilient {
-            optimize_resilient(e, data_env, supply, cfg)
-        } else {
-            optimize_with_report(e, data_env, supply, cfg)
-        }
+        optimize_with_report(e, data_env, supply, cfg)
     };
     let Some(cfg_fp) = cfg.fingerprint() else {
         // Tapped configuration: uncacheable, run directly.
@@ -562,7 +557,7 @@ pub fn optimize_cached(
         term: cache.term_fingerprint(e),
         cfg: cfg_fp,
         env: data_env.fingerprint(),
-        resilient,
+        resilient: cfg.recovery == Recovery::RollBack,
     };
     let shard = cache.shard_for(&key);
     // Lookup loop: a waiter whose leader failed comes back around to try
@@ -758,8 +753,7 @@ mod tests {
         let mut d1 = Dsl::new();
         let e1 = program(&mut d1);
         let mut s1 = d1.supply;
-        let (t1, r1, hit1) =
-            optimize_cached(&e1, &d1.data_env, &mut s1, &cfg, false, &cache).unwrap();
+        let (t1, r1, hit1) = optimize_cached(&e1, &d1.data_env, &mut s1, &cfg, &cache).unwrap();
         assert!(!hit1);
         assert!(!r1.passes.is_empty());
 
@@ -771,8 +765,7 @@ mod tests {
         }
         let e2 = program(&mut d2);
         let mut s2 = d2.supply;
-        let (t2, r2, hit2) =
-            optimize_cached(&e2, &d2.data_env, &mut s2, &cfg, false, &cache).unwrap();
+        let (t2, r2, hit2) = optimize_cached(&e2, &d2.data_env, &mut s2, &cfg, &cache).unwrap();
         assert!(hit2, "α-equivalent program must hit");
         assert!(alpha_eq(&t1, &t2));
         assert!(Arc::ptr_eq(&r1, &r2), "hit shares the report allocation");
@@ -793,14 +786,14 @@ mod tests {
         }
         let e1 = program(&mut d1);
         let mut s1 = d1.supply;
-        optimize_cached(&e1, &d1.data_env, &mut s1, &cfg, false, &cache).unwrap();
+        optimize_cached(&e1, &d1.data_env, &mut s1, &cfg, &cache).unwrap();
         let producer_high = s1.peek();
 
         let mut d2 = Dsl::new();
         let e2 = program(&mut d2);
         let mut s2 = d2.supply;
         assert!(s2.peek() < producer_high);
-        let (_, _, hit) = optimize_cached(&e2, &d2.data_env, &mut s2, &cfg, false, &cache).unwrap();
+        let (_, _, hit) = optimize_cached(&e2, &d2.data_env, &mut s2, &cfg, &cache).unwrap();
         assert!(hit);
         assert!(
             s2.peek() >= producer_high,
@@ -816,15 +809,16 @@ mod tests {
         let mut s = d.supply.clone();
         let join = OptConfig::join_points();
         let base = OptConfig::baseline();
-        optimize_cached(&e, &d.data_env, &mut s, &join, false, &cache).unwrap();
+        optimize_cached(&e, &d.data_env, &mut s, &join, &cache).unwrap();
         let (_, _, hit_other_cfg) =
-            optimize_cached(&e, &d.data_env, &mut s, &base, false, &cache).unwrap();
+            optimize_cached(&e, &d.data_env, &mut s, &base, &cache).unwrap();
         assert!(
             !hit_other_cfg,
             "different OptConfig must not share an entry"
         );
+        let resilient = join.clone().with_recovery(Recovery::RollBack);
         let (_, _, hit_resilient) =
-            optimize_cached(&e, &d.data_env, &mut s, &join, true, &cache).unwrap();
+            optimize_cached(&e, &d.data_env, &mut s, &resilient, &cache).unwrap();
         assert!(!hit_resilient, "strict and resilient runs must not share");
         assert_eq!(cache.stats().misses, 3);
     }
@@ -838,8 +832,7 @@ mod tests {
         let tapped = OptConfig::join_points().with_tap(PassTap::new(|_: &PassCtx, r| r));
         assert_eq!(tapped.fingerprint(), None);
         for _ in 0..2 {
-            let (_, _, hit) =
-                optimize_cached(&e, &d.data_env, &mut s, &tapped, false, &cache).unwrap();
+            let (_, _, hit) = optimize_cached(&e, &d.data_env, &mut s, &tapped, &cache).unwrap();
             assert!(!hit);
         }
         let stats = cache.stats();
@@ -853,7 +846,7 @@ mod tests {
         let mut d = Dsl::new();
         let mut s = d.supply.clone();
         let e = keyed_program(&mut d, 0);
-        optimize_cached(&e, &d.data_env, &mut s, &OptConfig::none(), false, &cache).unwrap();
+        optimize_cached(&e, &d.data_env, &mut s, &OptConfig::none(), &cache).unwrap();
         cache.stats().bytes
     }
 
@@ -868,7 +861,7 @@ mod tests {
         let mut s = d.supply.clone();
         for i in 0..40 {
             let e = keyed_program(&mut d, i);
-            optimize_cached(&e, &d.data_env, &mut s, &OptConfig::none(), false, &cache).unwrap();
+            optimize_cached(&e, &d.data_env, &mut s, &OptConfig::none(), &cache).unwrap();
             let stats = cache.stats();
             assert!(
                 stats.bytes <= stats.budget,
@@ -890,14 +883,13 @@ mod tests {
         let mut d = Dsl::new();
         let mut s = d.supply.clone();
         let hot = keyed_program(&mut d, 1000);
-        optimize_cached(&hot, &d.data_env, &mut s, &cfg, false, &cache).unwrap();
+        optimize_cached(&hot, &d.data_env, &mut s, &cfg, &cache).unwrap();
         // Cold traffic streams past; the hot entry is re-hit between
         // every cold insert and must stay resident throughout.
         for i in 0..10 {
             let cold = keyed_program(&mut d, i);
-            optimize_cached(&cold, &d.data_env, &mut s, &cfg, false, &cache).unwrap();
-            let (_, _, hit) =
-                optimize_cached(&hot, &d.data_env, &mut s, &cfg, false, &cache).unwrap();
+            optimize_cached(&cold, &d.data_env, &mut s, &cfg, &cache).unwrap();
+            let (_, _, hit) = optimize_cached(&hot, &d.data_env, &mut s, &cfg, &cache).unwrap();
             assert!(hit, "LRU must keep the repeatedly-hit entry (round {i})");
         }
         // Under FIFO the hot entry (oldest insert) would have been the
@@ -911,11 +903,11 @@ mod tests {
         let mut d = Dsl::new();
         let mut s = d.supply.clone();
         let e = keyed_program(&mut d, 7);
-        optimize_cached(&e, &d.data_env, &mut s, &OptConfig::none(), false, &cache).unwrap();
+        optimize_cached(&e, &d.data_env, &mut s, &OptConfig::none(), &cache).unwrap();
         let stats = cache.stats();
         assert_eq!((stats.entries, stats.bytes), (0, 0));
         let (_, _, hit) =
-            optimize_cached(&e, &d.data_env, &mut s, &OptConfig::none(), false, &cache).unwrap();
+            optimize_cached(&e, &d.data_env, &mut s, &OptConfig::none(), &cache).unwrap();
         assert!(!hit);
     }
 
@@ -931,15 +923,14 @@ mod tests {
         let mut s = d.supply.clone();
         let a = keyed_program(&mut d, 1);
         let b = keyed_program(&mut d, 2);
-        optimize_cached(&a, &d.data_env, &mut s, &cfg, false, &cache).unwrap();
-        let (_, _, hit_b) = optimize_cached(&b, &d.data_env, &mut s, &cfg, false, &cache).unwrap();
+        optimize_cached(&a, &d.data_env, &mut s, &cfg, &cache).unwrap();
+        let (_, _, hit_b) = optimize_cached(&b, &d.data_env, &mut s, &cfg, &cache).unwrap();
         assert!(!hit_b, "colliding lookup must not serve the wrong term");
         // b replaced a: b now hits, a misses (and replaces back).
-        let (tb, _, hit_b2) =
-            optimize_cached(&b, &d.data_env, &mut s, &cfg, false, &cache).unwrap();
+        let (tb, _, hit_b2) = optimize_cached(&b, &d.data_env, &mut s, &cfg, &cache).unwrap();
         assert!(hit_b2, "collision victim must be cacheable (was starved)");
         assert!(alpha_eq(&tb, &b), "replaced entry serves the right term");
-        let (ta, _, hit_a) = optimize_cached(&a, &d.data_env, &mut s, &cfg, false, &cache).unwrap();
+        let (ta, _, hit_a) = optimize_cached(&a, &d.data_env, &mut s, &cfg, &cache).unwrap();
         assert!(!hit_a);
         assert!(alpha_eq(&ta, &a));
         assert_eq!(cache.stats().entries, 1, "one key, one slot");
@@ -974,15 +965,9 @@ mod tests {
                     let e = program(&mut d);
                     let mut s = d.supply;
                     barrier.wait();
-                    let (term, report, _) = optimize_cached(
-                        &e,
-                        &d.data_env,
-                        &mut s,
-                        &OptConfig::join_points(),
-                        false,
-                        &cache,
-                    )
-                    .unwrap();
+                    let (term, report, _) =
+                        optimize_cached(&e, &d.data_env, &mut s, &OptConfig::join_points(), &cache)
+                            .unwrap();
                     // Fresh names drawn after adoption must be past the
                     // producer's supply regardless of who compiled.
                     let high = s.peek();
@@ -1039,15 +1024,8 @@ mod tests {
                     let e = Expr::var(&x);
                     let mut s = d.supply;
                     barrier.wait();
-                    optimize_cached(
-                        &e,
-                        &d.data_env,
-                        &mut s,
-                        &OptConfig::join_points(),
-                        false,
-                        &cache,
-                    )
-                    .is_err()
+                    optimize_cached(&e, &d.data_env, &mut s, &OptConfig::join_points(), &cache)
+                        .is_err()
                 })
             })
             .collect();
@@ -1095,8 +1073,7 @@ mod tests {
         let mut d1 = Dsl::new();
         let e1 = program(&mut d1);
         let mut s1 = d1.supply;
-        let (t1, _, hit) =
-            optimize_cached(&e1, &d1.data_env, &mut s1, &cfg, false, &cache1).unwrap();
+        let (t1, _, hit) = optimize_cached(&e1, &d1.data_env, &mut s1, &cfg, &cache1).unwrap();
         assert!(!hit);
         assert_eq!(cache1.stats().disk_writes, 1);
 
@@ -1105,16 +1082,14 @@ mod tests {
         let mut d2 = Dsl::new();
         let e2 = program(&mut d2);
         let mut s2 = d2.supply;
-        let (t2, r2, hit2) =
-            optimize_cached(&e2, &d2.data_env, &mut s2, &cfg, false, &cache2).unwrap();
+        let (t2, r2, hit2) = optimize_cached(&e2, &d2.data_env, &mut s2, &cfg, &cache2).unwrap();
         assert!(hit2, "restart must be warm");
         assert!(alpha_eq(&t1, &t2));
         assert!(r2.passes.is_empty(), "disk hit runs zero passes");
         let stats = cache2.stats();
         assert_eq!((stats.disk_hits, stats.disk_loads, stats.misses), (1, 1, 0));
         // And the adoption populated the memory tier.
-        let (_, _, hit3) =
-            optimize_cached(&e2, &d2.data_env, &mut s2, &cfg, false, &cache2).unwrap();
+        let (_, _, hit3) = optimize_cached(&e2, &d2.data_env, &mut s2, &cfg, &cache2).unwrap();
         assert!(hit3);
         assert_eq!(cache2.stats().hits, 1);
     }
@@ -1144,15 +1119,8 @@ mod tests {
         let mut d = Dsl::new();
         let e = program(&mut d);
         let mut s = d.supply;
-        let (t, _, hit) = optimize_cached(
-            &e,
-            &d.data_env,
-            &mut s,
-            &OptConfig::join_points(),
-            false,
-            &cache,
-        )
-        .unwrap();
+        let (t, _, hit) =
+            optimize_cached(&e, &d.data_env, &mut s, &OptConfig::join_points(), &cache).unwrap();
         assert!(!hit, "stale entry must cost a miss, not serve a wrong term");
         assert!(!alpha_eq(&t, &e) || t.size() <= e.size());
         let stats = cache.stats();
@@ -1182,6 +1150,14 @@ mod tests {
                 .fingerprint()
                 .unwrap()
         );
+        // The mode is the key's own bit, not part of the configuration's.
+        assert_eq!(
+            a,
+            OptConfig::join_points()
+                .with_recovery(Recovery::RollBack)
+                .fingerprint()
+                .unwrap()
+        );
     }
 
     #[test]
@@ -1202,12 +1178,14 @@ mod tests {
         let store = Arc::new(CountingStore::default());
         let cache = OptCache::default().with_store(Arc::clone(&store) as _);
         // Every pass returns after a 1 ns deadline, so every pass rolls back.
-        let cfg = OptConfig::join_points().with_pass_deadline(Duration::from_nanos(1));
+        let cfg = OptConfig::join_points()
+            .with_pass_deadline(Duration::from_nanos(1))
+            .with_recovery(Recovery::RollBack);
         let mut d = Dsl::new();
         let e = program(&mut d);
         for round in 0..2 {
             let (_, report, hit) =
-                optimize_cached(&e, &d.data_env, &mut d.supply, &cfg, true, &cache).unwrap();
+                optimize_cached(&e, &d.data_env, &mut d.supply, &cfg, &cache).unwrap();
             assert!(report.hit_deadline(), "round {round}: {report}");
             assert!(!hit, "round {round}: a deadline-degraded result was cached");
         }

@@ -1,5 +1,5 @@
 //! Pass guards: panic isolation, wall-clock deadlines, and the fault-
-//! injection tap behind [`optimize_resilient`](crate::optimize_resilient).
+//! injection tap behind [`Recovery::RollBack`](crate::Recovery::RollBack).
 //!
 //! The paper uses Core Lint "forensically" (Sec. 4.4): a pass that breaks
 //! the jump-in-tail-position discipline is caught by the checker after the

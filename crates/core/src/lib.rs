@@ -16,7 +16,8 @@
 //! * [`erase`](fn@erase) — Theorem 5's erasure back to System F;
 //! * [`cse`](fn@cse) — common-subexpression elimination, the Sec. 8
 //!   "easy in direct style, hard in CPS" example, made executable;
-//! * pass orchestration ([`optimize`]) with the two experimental presets:
+//! * pass orchestration ([`optimize_with_report`], strict or resilient per
+//!   [`OptConfig::recovery`]) with the two experimental presets:
 //!   [`OptConfig::join_points`] (the paper) and [`OptConfig::baseline`]
 //!   (GHC before the paper).
 //!
@@ -24,7 +25,7 @@
 //!
 //! ```
 //! use fj_ast::{Dsl, Expr, Type};
-//! use fj_core::{optimize, OptConfig};
+//! use fj_core::{optimize_with_report, OptConfig};
 //!
 //! let mut dsl = Dsl::new();
 //! // null as = case (case as of { Nil -> Nothing; Cons p _ -> Just p })
@@ -43,7 +44,7 @@
 //! let program = Expr::lam(as_, outer);
 //!
 //! let mut supply = dsl.supply;
-//! let optimized = optimize(
+//! let (optimized, _report) = optimize_with_report(
 //!     &program,
 //!     &dsl.data_env,
 //!     &mut supply,
@@ -85,9 +86,7 @@ pub use float_in::{float_in, float_in_counting};
 pub use float_out::{float_out, float_out_counting};
 pub use guard::{panic_message, quiet_panics, PassCtx, PassResult, PassTap, RollbackReason};
 pub use par::{par_map, BoundedQueue};
-pub use pipeline::{
-    apply_pass, optimize, optimize_resilient, optimize_with_report, OptConfig, Pass,
-};
+pub use pipeline::{apply_pass, optimize_with_report, OptConfig, Pass, Recovery};
 pub use simplify::{simplify, simplify_once, SimplOpts};
 pub use stats::{Census, PassOutcome, PassStats, PipelineReport, RewriteStats};
 

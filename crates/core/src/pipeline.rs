@@ -61,9 +61,9 @@ pub struct OptConfig {
     pub passes: Vec<Pass>,
     /// Simplifier tuning (including the join-points switch).
     pub simpl: SimplOpts,
-    /// Lint after every pass, failing fast with the pass name. The
-    /// resilient driver lints after every pass regardless — rollback is
-    /// meaningless without detection.
+    /// Lint after every pass, failing fast with the pass name. Under
+    /// [`Recovery::RollBack`] the driver lints after every pass
+    /// regardless — rollback is meaningless without detection.
     pub lint_between: bool,
     /// Per-pass wall-clock deadline, polled cooperatively by every pass
     /// traversal on the calling thread (fail-fast: [`OptError::Budget`];
@@ -80,6 +80,23 @@ pub struct OptConfig {
     /// Test seam interposed on every pass output (fault injection).
     /// Default `None`.
     pub tap: Option<PassTap>,
+    /// What the driver does when a pass fails its guard. Default
+    /// [`Recovery::FailFast`].
+    pub recovery: Recovery,
+}
+
+/// What [`optimize_with_report`] does when a pass fails its guard.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Recovery {
+    /// Abort the whole pipeline with an [`OptError`].
+    FailFast,
+    /// Graceful degradation: every pass runs under a guard (panic
+    /// isolation, optional deadline, growth and pass budgets, lint after
+    /// every pass), and a failing pass is rolled back to its pre-pass term
+    /// while the remaining passes continue. A misbehaving pass costs one
+    /// optimization opportunity, not the compilation; each pass's fate is
+    /// a [`PassOutcome`] in the report.
+    RollBack,
 }
 
 /// Small terms get this much absolute headroom before
@@ -97,6 +114,7 @@ impl OptConfig {
             max_growth: None,
             max_passes: None,
             tap: None,
+            recovery: Recovery::FailFast,
         }
     }
 
@@ -181,6 +199,12 @@ impl OptConfig {
         self
     }
 
+    /// Set what the driver does when a pass fails its guard.
+    pub fn with_recovery(mut self, recovery: Recovery) -> Self {
+        self.recovery = recovery;
+        self
+    }
+
     /// A stable 64-bit digest of everything in this configuration that can
     /// influence the optimized term — the configuration component of the
     /// [`OptCache`](crate::cache::OptCache) key.
@@ -192,7 +216,9 @@ impl OptConfig {
     ///
     /// The pass deadline is left out: a run it cuts short either fails
     /// (strict) or is degraded by a rollback (resilient), and neither is
-    /// ever cached, so every cached output is independent of it.
+    /// ever cached, so every cached output is independent of it. So is
+    /// [`OptConfig::recovery`]: the cache key carries the mode as a bit of
+    /// its own ([`CacheKey::resilient`](crate::CacheKey::resilient)).
     pub fn fingerprint(&self) -> Option<u64> {
         use std::hash::{Hash, Hasher};
         if self.tap.is_some() {
@@ -209,22 +235,6 @@ impl OptConfig {
         self.max_passes.hash(&mut h);
         Some(h.finish())
     }
-}
-
-/// Run a pipeline over a closed, well-typed term.
-///
-/// # Errors
-///
-/// Returns [`OptError`] on a pass failure, or
-/// [`OptError::LintAfterPass`] when `lint_between` is on and a pass broke
-/// the typing discipline (the paper's "forensic" use of Core Lint).
-pub fn optimize(
-    e: &Expr,
-    data_env: &DataEnv,
-    supply: &mut NameSupply,
-    cfg: &OptConfig,
-) -> Result<Expr, OptError> {
-    optimize_with_report(e, data_env, supply, cfg).map(|(e, _)| e)
 }
 
 /// Run one pass over a term, returning the output, the rewrite counters
@@ -279,79 +289,30 @@ pub fn apply_pass(
     Ok((out, rw, changed))
 }
 
-/// As [`optimize`], also returning the full per-pass [`PipelineReport`]:
-/// rewrite-firing counters, a term census after every pass, and wall
-/// times. This is the observability entry point behind `fj report`.
+/// Run a pipeline over a closed, well-typed term, returning the
+/// optimized term and its per-pass [`PipelineReport`]: rewrite-firing
+/// counters, a term census after every pass, and wall times. This is the
+/// one pipeline driver; `cfg.recovery` chooses strict or resilient.
+///
+/// Strict mode ([`Recovery::FailFast`]) with no deadline and no tap calls
+/// [`apply_pass`] directly (panics propagate); any other combination
+/// routes through the guard. Under [`Recovery::RollBack`] the output term
+/// is well-typed whenever the input was: only linted pass outputs are
+/// ever committed.
 ///
 /// # Errors
 ///
-/// As [`optimize`].
+/// Strict mode returns [`OptError`] on a pass failure or a blown budget,
+/// or [`OptError::LintAfterPass`] when `lint_between` is on and a pass
+/// broke the typing discipline (the paper's "forensic" use of Core Lint).
+/// Resilient mode never fails today (every per-pass failure becomes a
+/// rollback); the `Result` is kept so the signature can survive future
+/// fatal conditions.
 pub fn optimize_with_report(
     e: &Expr,
     data_env: &DataEnv,
     supply: &mut NameSupply,
     cfg: &OptConfig,
-) -> Result<(Expr, PipelineReport), OptError> {
-    run_pipeline(e, data_env, supply, cfg, Recovery::FailFast)
-}
-
-/// Run a pipeline with graceful degradation: every pass runs under a guard
-/// (panic isolation, optional deadline, growth and pass budgets, lint
-/// after every pass), and any failure rolls the term back to its pre-pass
-/// state and continues with the remaining passes. A misbehaving pass costs
-/// one optimization opportunity, not the compilation.
-///
-/// Each pass's fate is recorded as a [`PassOutcome`] in the returned
-/// [`PipelineReport`]; the output term is always well-typed if the input
-/// was (only linted pass outputs are ever committed).
-///
-/// # Errors
-///
-/// Never fails today (every per-pass failure becomes a rollback); the
-/// `Result` is kept so the signature can survive future fatal conditions.
-pub fn optimize_resilient(
-    e: &Expr,
-    data_env: &DataEnv,
-    supply: &mut NameSupply,
-    cfg: &OptConfig,
-) -> Result<(Expr, PipelineReport), OptError> {
-    run_pipeline(e, data_env, supply, cfg, Recovery::RollBack)
-}
-
-/// What the driver does when a pass fails its guard.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Recovery {
-    /// Abort the whole pipeline with an [`OptError`] (strict `optimize`).
-    FailFast,
-    /// Discard the pass output, keep the pre-pass term, continue.
-    RollBack,
-}
-
-fn rolled_back(
-    pass: &'static str,
-    census: Census,
-    wall: std::time::Duration,
-    reason: RollbackReason,
-) -> PassStats {
-    PassStats {
-        pass,
-        rewrites: RewriteStats::default(),
-        census_after: census,
-        wall,
-        outcome: PassOutcome::RolledBack(reason),
-    }
-}
-
-/// The one pipeline driver: [`optimize_with_report`] is `FailFast`,
-/// [`optimize_resilient`] is `RollBack`. Strict mode with no deadline and
-/// no tap calls [`apply_pass`] directly (panics propagate); any other
-/// combination routes through the guard.
-fn run_pipeline(
-    e: &Expr,
-    data_env: &DataEnv,
-    supply: &mut NameSupply,
-    cfg: &OptConfig,
-    recovery: Recovery,
 ) -> Result<(Expr, PipelineReport), OptError> {
     let started = Instant::now();
     let mut report = PipelineReport {
@@ -366,6 +327,7 @@ fn run_pipeline(
     let mut census = report.census_before;
     // Rollback without detection is meaningless: resilient mode always
     // lints pass outputs, whatever `lint_between` says.
+    let recovery = cfg.recovery;
     let lint_after = cfg.lint_between || recovery == Recovery::RollBack;
     let needs_guard =
         recovery == Recovery::RollBack || cfg.pass_deadline.is_some() || cfg.tap.is_some();
@@ -493,4 +455,19 @@ fn run_pipeline(
     report.census_after = census;
     report.wall = started.elapsed();
     Ok((cur, report))
+}
+
+fn rolled_back(
+    pass: &'static str,
+    census: Census,
+    wall: std::time::Duration,
+    reason: RollbackReason,
+) -> PassStats {
+    PassStats {
+        pass,
+        rewrites: RewriteStats::default(),
+        census_after: census,
+        wall,
+        outcome: PassOutcome::RolledBack(reason),
+    }
 }

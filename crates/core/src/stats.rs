@@ -184,11 +184,11 @@ impl fmt::Display for Census {
 
 /// Did the driver keep a pass's output, or throw it away?
 ///
-/// Strict pipelines ([`optimize`](crate::optimize)) only ever record
-/// [`PassOutcome::Applied`]: any failure aborts compilation instead. The
-/// resilient pipeline ([`optimize_resilient`](crate::optimize_resilient))
-/// records [`PassOutcome::RolledBack`] and continues from the pre-pass
-/// term.
+/// Strict pipelines ([`Recovery::FailFast`](crate::Recovery::FailFast))
+/// only ever record [`PassOutcome::Applied`]: any failure aborts
+/// compilation instead. The resilient pipeline
+/// ([`Recovery::RollBack`](crate::Recovery::RollBack)) records
+/// [`PassOutcome::RolledBack`] and continues from the pre-pass term.
 #[derive(Clone, Debug, Default)]
 pub enum PassOutcome {
     /// The pass ran, passed its budgets (and lint), and its output became

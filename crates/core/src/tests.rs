@@ -2,7 +2,9 @@
 //! through the pipeline and validated against the abstract machine and
 //! Core Lint.
 
-use crate::{contify, contify_counting, erase, optimize, simplify, OptConfig, SimplOpts};
+use crate::{
+    contify, contify_counting, erase, optimize_with_report, simplify, OptConfig, SimplOpts,
+};
 use fj_ast::{
     alpha_eq, Alt, AltCon, Binder, DataEnv, Dsl, Expr, Ident, JoinDef, NameSupply, PrimOp, Type,
 };
@@ -24,7 +26,7 @@ fn modes() -> [EvalMode; 3] {
 fn optimize_checked(e: &Expr, dsl: &mut Dsl, cfg: &OptConfig) -> Expr {
     let cfg = cfg.clone().with_lint(true);
     lint(e, &dsl.data_env).unwrap_or_else(|err| panic!("input ill-typed: {err}\n{e}"));
-    let out = optimize(e, &dsl.data_env, &mut dsl.supply, &cfg)
+    let (out, _) = optimize_with_report(e, &dsl.data_env, &mut dsl.supply, &cfg)
         .unwrap_or_else(|err| panic!("optimize failed: {err}"));
     for mode in modes() {
         let a = run(e, mode, FUEL).unwrap_or_else(|er| panic!("{mode:?} before: {er}\n{e}"));
@@ -167,7 +169,7 @@ fn join_point_preserved_vs_destroyed() {
     let prog1 = build(&mut d1);
     lint(&prog1, &d1.data_env).unwrap();
     let cfg = OptConfig::join_points().with_lint(true);
-    let joined = optimize(&prog1, &d1.data_env, &mut d1.supply, &cfg).unwrap();
+    let (joined, _) = optimize_with_report(&prog1, &d1.data_env, &mut d1.supply, &cfg).unwrap();
 
     // In the join-points output, the join must still exist (it is
     // multi-use and big) and the outer case must have been consumed into
@@ -771,9 +773,7 @@ fn scrutinee_jump_aborts() {
 mod resilient {
     use super::{modes, null_program, FUEL};
     use crate::guard::RollbackReason;
-    use crate::{
-        optimize_resilient, optimize_with_report, OptConfig, OptError, Pass, PassOutcome, PassTap,
-    };
+    use crate::{optimize_with_report, OptConfig, OptError, Pass, PassOutcome, PassTap, Recovery};
     use fj_ast::{alpha_eq, Binder, Dsl, Expr, LetBind, Name, Type};
     use fj_eval::run;
     use std::time::Duration;
@@ -796,8 +796,10 @@ mod resilient {
             passes: vec![Pass::Simplify],
             ..OptConfig::join_points()
         }
-        .with_tap(panic_tap(0));
-        let (out, report) = optimize_resilient(&program, &d.data_env, &mut d.supply, &cfg).unwrap();
+        .with_tap(panic_tap(0))
+        .with_recovery(Recovery::RollBack);
+        let (out, report) =
+            optimize_with_report(&program, &d.data_env, &mut d.supply, &cfg).unwrap();
         assert!(alpha_eq(&out, &program), "rollback must restore the input");
         assert_eq!(report.passes.len(), 1, "exactly one pass recorded");
         let p = &report.passes[0];
@@ -821,8 +823,9 @@ mod resilient {
         let mut s2 = d.supply.clone();
         let (strict, strict_report) =
             optimize_with_report(&program, &d.data_env, &mut s1, &cfg).unwrap();
+        let resilient = cfg.clone().with_recovery(Recovery::RollBack);
         let (resil, resil_report) =
-            optimize_resilient(&program, &d.data_env, &mut s2, &cfg).unwrap();
+            optimize_with_report(&program, &d.data_env, &mut s2, &resilient).unwrap();
         assert!(alpha_eq(&strict, &resil));
         assert!(resil_report.all_applied());
         assert_eq!(strict_report.totals(), resil_report.totals());
@@ -833,8 +836,11 @@ mod resilient {
     fn pipeline_continues_after_midpipeline_panic() {
         let mut d = Dsl::new();
         let (_, program) = null_program(&mut d);
-        let cfg = OptConfig::join_points().with_tap(panic_tap(3));
-        let (out, report) = optimize_resilient(&program, &d.data_env, &mut d.supply, &cfg).unwrap();
+        let cfg = OptConfig::join_points()
+            .with_tap(panic_tap(3))
+            .with_recovery(Recovery::RollBack);
+        let (out, report) =
+            optimize_with_report(&program, &d.data_env, &mut d.supply, &cfg).unwrap();
         assert_eq!(report.rolled_back().count(), 1);
         let bad = report.rolled_back().next().unwrap();
         assert_eq!(bad.pass, report.passes[3].pass);
@@ -869,8 +875,10 @@ mod resilient {
         });
         let cfg = OptConfig::join_points()
             .with_tap(bloat)
-            .with_max_growth(3.0);
-        let (out, report) = optimize_resilient(&program, &d.data_env, &mut d.supply, &cfg).unwrap();
+            .with_max_growth(3.0)
+            .with_recovery(Recovery::RollBack);
+        let (out, report) =
+            optimize_with_report(&program, &d.data_env, &mut d.supply, &cfg).unwrap();
         let bad = &report.passes[0];
         assert!(
             matches!(
@@ -892,8 +900,10 @@ mod resilient {
     fn pass_budget_skips_the_rest_of_the_pipeline() {
         let mut d = Dsl::new();
         let (_, program) = null_program(&mut d);
-        let cfg = OptConfig::join_points().with_max_passes(2);
-        let (_, report) = optimize_resilient(&program, &d.data_env, &mut d.supply, &cfg).unwrap();
+        let cfg = OptConfig::join_points()
+            .with_max_passes(2)
+            .with_recovery(Recovery::RollBack);
+        let (_, report) = optimize_with_report(&program, &d.data_env, &mut d.supply, &cfg).unwrap();
         let total = cfg.passes.len();
         assert_eq!(report.passes.len(), total);
         assert!(report.passes[0].outcome.is_applied());
@@ -924,8 +934,10 @@ mod resilient {
         });
         let cfg = OptConfig::join_points()
             .with_tap(spin)
-            .with_pass_deadline(Duration::from_millis(40));
-        let (out, report) = optimize_resilient(&program, &d.data_env, &mut d.supply, &cfg).unwrap();
+            .with_pass_deadline(Duration::from_millis(40))
+            .with_recovery(Recovery::RollBack);
+        let (out, report) =
+            optimize_with_report(&program, &d.data_env, &mut d.supply, &cfg).unwrap();
         assert!(
             matches!(
                 report.passes[0].outcome,
@@ -961,7 +973,7 @@ mod resilient {
 /// reference-count bump below the root rather than a deep copy.
 mod sharing {
     use super::{modes, null_program, FUEL};
-    use crate::{apply_pass, optimize, optimize_resilient, OptConfig, Pass, PassTap, SimplOpts};
+    use crate::{apply_pass, optimize_with_report, OptConfig, Pass, PassTap, Recovery, SimplOpts};
     use fj_ast::{alpha_eq, Expr};
     use fj_eval::run;
     use std::sync::Arc;
@@ -992,8 +1004,11 @@ mod sharing {
         // A tap that discards every pass's output forces a rollback at
         // every step; the pipeline must come back to the input snapshot.
         let always_panic = PassTap::new(|_, _| panic!("test tap: discard every pass"));
-        let cfg = OptConfig::join_points().with_tap(always_panic);
-        let (out, report) = optimize_resilient(&program, &d.data_env, &mut d.supply, &cfg).unwrap();
+        let cfg = OptConfig::join_points()
+            .with_tap(always_panic)
+            .with_recovery(Recovery::RollBack);
+        let (out, report) =
+            optimize_with_report(&program, &d.data_env, &mut d.supply, &cfg).unwrap();
         assert_eq!(report.rolled_back().count(), report.passes.len());
         assert!(alpha_eq(&out, &program));
         assert!(
@@ -1013,7 +1028,8 @@ mod sharing {
         let mut d = fj_ast::Dsl::new();
         let (_, program) = null_program(&mut d);
         let cfg = OptConfig::join_points();
-        let optimized = optimize(&program, &d.data_env, &mut d.supply, &cfg).unwrap();
+        let (optimized, _) =
+            optimize_with_report(&program, &d.data_env, &mut d.supply, &cfg).unwrap();
         for pass in [Pass::Contify, Pass::FloatIn, Pass::FloatOut, Pass::Cse] {
             let (out, rewrites, changed) = apply_pass(
                 &optimized,

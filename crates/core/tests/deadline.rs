@@ -1,5 +1,5 @@
 //! A real pass, with no tap, running into its per-pass deadline: the pass
-//! is cut short on the calling thread, and both pipeline drivers report
+//! is cut short on the calling thread, and both recovery policies report
 //! the deadline.
 //!
 //! This binary holds one test, so the thread count it reads from
@@ -7,8 +7,7 @@
 
 use fj_ast::{Dsl, Expr, PrimOp, Type};
 use fj_core::{
-    optimize_resilient, optimize_with_report, BudgetKind, OptConfig, OptError, PassOutcome,
-    RollbackReason,
+    optimize_with_report, BudgetKind, OptConfig, OptError, PassOutcome, Recovery, RollbackReason,
 };
 use std::time::Duration;
 
@@ -45,7 +44,8 @@ fn a_large_term_hits_the_deadline_on_the_calling_thread() {
     let threads_before = threads();
 
     let mut supply = d.supply.clone();
-    let (_, report) = optimize_resilient(&e, &d.data_env, &mut supply, &cfg).unwrap();
+    let resilient = cfg.clone().with_recovery(Recovery::RollBack);
+    let (_, report) = optimize_with_report(&e, &d.data_env, &mut supply, &resilient).unwrap();
     assert!(
         matches!(
             report.passes[0].outcome,

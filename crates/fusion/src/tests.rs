@@ -8,7 +8,7 @@ use crate::{
 };
 use fj_ast::{Dsl, Expr, PrimOp, Type};
 use fj_check::lint;
-use fj_core::{optimize, OptConfig};
+use fj_core::{optimize_with_report, OptConfig};
 use fj_eval::{run, run_int, EvalMode, Metrics};
 
 const FUEL: u64 = 10_000_000;
@@ -207,8 +207,9 @@ fn optimized_metrics(v: StepVariant, cfg: &OptConfig, n: i64) -> (i64, Metrics, 
     let mut d = Dsl::new();
     let e = pipeline(&mut d, v, n);
     lint(&e, &d.data_env).unwrap_or_else(|err| panic!("lint input: {err}"));
-    let out = optimize(&e, &d.data_env, &mut d.supply, &cfg.clone().with_lint(true))
-        .unwrap_or_else(|err| panic!("optimize: {err}"));
+    let (out, _) =
+        optimize_with_report(&e, &d.data_env, &mut d.supply, &cfg.clone().with_lint(true))
+            .unwrap_or_else(|err| panic!("optimize: {err}"));
     let o =
         run(&out, EvalMode::CallByValue, FUEL).unwrap_or_else(|err| panic!("eval: {err}\n{out}"));
     match o.value {
@@ -321,8 +322,9 @@ fn zip_pipeline_survives_baseline_sharing() {
                 StepVariant::Skip => zip_with_skip(&mut d, add, Type::Int, s1, s2),
             };
             let e = sum_s(&mut d, z);
-            let out = optimize(&e, &d.data_env, &mut d.supply, &cfg.with_lint(true))
-                .unwrap_or_else(|err| panic!("{v:?} optimize: {err}"));
+            let (out, _) =
+                optimize_with_report(&e, &d.data_env, &mut d.supply, &cfg.with_lint(true))
+                    .unwrap_or_else(|err| panic!("{v:?} optimize: {err}"));
             assert_eq!(
                 run_int(&out, EvalMode::CallByValue, FUEL).unwrap(),
                 expect,
@@ -339,8 +341,9 @@ fn optimized_pipelines_preserve_semantics() {
         for cfg in [OptConfig::join_points(), OptConfig::baseline()] {
             let mut d = Dsl::new();
             let e = pipeline(&mut d, v, 30);
-            let out = optimize(&e, &d.data_env, &mut d.supply, &cfg.with_lint(true))
-                .unwrap_or_else(|err| panic!("optimize: {err}"));
+            let (out, _) =
+                optimize_with_report(&e, &d.data_env, &mut d.supply, &cfg.with_lint(true))
+                    .unwrap_or_else(|err| panic!("optimize: {err}"));
             for mode in [
                 EvalMode::CallByName,
                 EvalMode::CallByNeed,

@@ -10,8 +10,13 @@ fn main() {
         ("join-points", fj_core::OptConfig::join_points()),
     ] {
         let mut lowered = fj_surface::compile(p.source).unwrap();
-        let out =
-            fj_core::optimize(&lowered.expr, &lowered.data_env, &mut lowered.supply, &cfg).unwrap();
+        let (out, _) = fj_core::optimize_with_report(
+            &lowered.expr,
+            &lowered.data_env,
+            &mut lowered.supply,
+            &cfg,
+        )
+        .unwrap();
         let o = fj_eval::run(&out, fj_eval::EvalMode::CallByValue, 50_000_000).unwrap();
         println!("=== {label}: {}\n{out}\n", o.metrics);
     }

@@ -13,7 +13,7 @@
 //!   code and an extra alternative everywhere.
 
 use fj_ast::{Dsl, Expr, PrimOp, Type};
-use fj_core::{optimize, OptConfig};
+use fj_core::{optimize_with_report, OptConfig};
 use fj_eval::{run, EvalMode, Metrics, Value};
 use fj_fusion::{enum_from_to, filter_s, int_lambda, map_s, sum_s, StepVariant};
 
@@ -75,7 +75,7 @@ pub fn run_fusion_experiment(ns: &[i64]) -> Vec<FusionPoint> {
             ] {
                 let mut d = Dsl::new();
                 let e = pipeline(&mut d, variant, n);
-                let opt = optimize(&e, &d.data_env, &mut d.supply, &cfg)
+                let (opt, _) = optimize_with_report(&e, &d.data_env, &mut d.supply, &cfg)
                     .unwrap_or_else(|err| panic!("optimize: {err}"));
                 let o = run(&opt, EvalMode::CallByValue, crate::FUEL)
                     .unwrap_or_else(|err| panic!("eval: {err}"));

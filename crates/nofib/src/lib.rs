@@ -93,34 +93,6 @@ pub const FUEL: u64 = 50_000_000;
 /// unit than machine transitions, so the budget is larger).
 pub const VM_FUEL: u64 = 500_000_000;
 
-/// Which execution backend runs a compiled benchmark.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Backend {
-    /// The Fig. 3 substitution machine in `fj-eval` (the reference).
-    Machine,
-    /// The flat jump-threaded bytecode VM in `fj-vm`.
-    Vm,
-}
-
-impl Backend {
-    /// Display name (matches the CLI's `--backend` values).
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Machine => "machine",
-            Backend::Vm => "vm",
-        }
-    }
-
-    /// Parse a `--backend` value.
-    pub fn parse(s: &str) -> Option<Backend> {
-        match s {
-            "machine" => Some(Backend::Machine),
-            "vm" => Some(Backend::Vm),
-            _ => None,
-        }
-    }
-}
-
 /// Compile, lint, and optimize a benchmark source under a pipeline,
 /// returning the optimized term, ready for either backend, and the
 /// optimizer's per-pass [`PipelineReport`] (rewrite counters, censuses,

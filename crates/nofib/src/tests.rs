@@ -6,7 +6,7 @@ use crate::{
     Suite,
 };
 use fj_ast::{Expr, JoinBind, LetBind};
-use fj_core::{apply_pass, optimize, OptConfig, Pass, SimplOpts};
+use fj_core::{apply_pass, optimize_with_report, OptConfig, Pass, SimplOpts};
 use fj_eval::{EvalMode, Value};
 use std::sync::Arc;
 
@@ -321,7 +321,7 @@ fn vm_fusion_counters_exact_on_fusion_matrix() {
         ] {
             let mut d = Dsl::new();
             let e = crate::fusion_exp::pipeline(&mut d, variant, 200);
-            let opt = fj_core::optimize(&e, &d.data_env, &mut d.supply, &cfg)
+            let (opt, _) = fj_core::optimize_with_report(&e, &d.data_env, &mut d.supply, &cfg)
                 .unwrap_or_else(|err| panic!("{variant:?} {label}: optimize: {err}"));
             let unfused = compile_with(&opt, EvalMode::CallByValue, CompileOpts { fuse: false })
                 .unwrap_or_else(|err| panic!("{variant:?} {label}: compile: {err}"));
@@ -456,7 +456,7 @@ fn unchanged_pass_runs_share_the_input_subtrees() {
     let mut unchanged = 0;
     for p in programs() {
         let mut l = fj_surface::compile(p.source).expect("compiles");
-        let opt = optimize(
+        let (opt, _) = optimize_with_report(
             &l.expr,
             &l.data_env,
             &mut l.supply,

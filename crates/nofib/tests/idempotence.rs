@@ -11,7 +11,7 @@
 //! bindings on every run, which this test would catch.)
 
 use fj_ast::alpha_eq;
-use fj_core::{optimize, optimize_with_report, OptConfig};
+use fj_core::{optimize_with_report, OptConfig};
 use fj_nofib::programs;
 use fj_surface::compile;
 
@@ -25,8 +25,9 @@ fn optimizing_twice_equals_optimizing_once() {
         let lowered = compile(p.source).unwrap_or_else(|e| panic!("{}: compile: {e}", p.name));
         for (label, cfg) in &configs {
             let mut supply = lowered.supply.clone();
-            let once = optimize(&lowered.expr, &lowered.data_env, &mut supply, cfg)
-                .unwrap_or_else(|e| panic!("{} [{label}]: optimize #1: {e}", p.name));
+            let (once, _) =
+                optimize_with_report(&lowered.expr, &lowered.data_env, &mut supply, cfg)
+                    .unwrap_or_else(|e| panic!("{} [{label}]: optimize #1: {e}", p.name));
             let (twice, report) = optimize_with_report(&once, &lowered.data_env, &mut supply, cfg)
                 .unwrap_or_else(|e| panic!("{} [{label}]: optimize #2: {e}", p.name));
             assert!(

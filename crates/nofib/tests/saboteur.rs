@@ -7,7 +7,7 @@
 //! markdown, so rollback reasons survive the trip into the report.
 
 use fj_ast::alpha_eq;
-use fj_core::{optimize_resilient, OptConfig, PassOutcome, RollbackReason};
+use fj_core::{optimize_with_report, OptConfig, PassOutcome, Recovery, RollbackReason};
 use fj_eval::{EvalMode, Metrics};
 use fj_nofib::{format_report, programs, ReportRow, Row, Suite, FUEL, VM_FUEL};
 use fj_surface::compile;
@@ -26,12 +26,14 @@ fn matrix(mode: Sabotage) {
             .value;
         let target = i % OptConfig::join_points().passes.len();
         let (tap, handle) = saboteur(mode, target, 0xF00D + i as u64);
-        let mut cfg = OptConfig::join_points().with_tap(tap);
+        let mut cfg = OptConfig::join_points()
+            .with_tap(tap)
+            .with_recovery(Recovery::RollBack);
         if mode == Sabotage::InjectSpin {
             cfg = cfg.with_pass_deadline(Duration::from_millis(40));
         }
         let (out, report) =
-            optimize_resilient(&lowered.expr, &lowered.data_env, &mut lowered.supply, &cfg)
+            optimize_with_report(&lowered.expr, &lowered.data_env, &mut lowered.supply, &cfg)
                 .unwrap_or_else(|e| panic!("{}: resilient pipeline failed: {e}", p.name));
         let fired = handle.fired();
         fired_total += fired;
@@ -120,11 +122,12 @@ fn resilient_is_strict_on_the_suite_when_nothing_fails() {
         let cfg = OptConfig::join_points();
         let mut s1 = lowered.supply.clone();
         let mut s2 = lowered.supply.clone();
+        let resilient = cfg.clone().with_recovery(Recovery::RollBack);
         let (strict_out, strict_rep) =
-            fj_core::optimize_with_report(&lowered.expr, &lowered.data_env, &mut s1, &cfg)
+            optimize_with_report(&lowered.expr, &lowered.data_env, &mut s1, &cfg)
                 .unwrap_or_else(|e| panic!("{}: strict: {e}", p.name));
         let (res_out, res_rep) =
-            optimize_resilient(&lowered.expr, &lowered.data_env, &mut s2, &cfg)
+            optimize_with_report(&lowered.expr, &lowered.data_env, &mut s2, &resilient)
                 .unwrap_or_else(|e| panic!("{}: resilient: {e}", p.name));
         assert!(res_rep.all_applied(), "{}: spurious rollback", p.name);
         assert!(
@@ -148,9 +151,11 @@ fn resilient_is_strict_on_the_suite_when_nothing_fails() {
 fn rolled_back_outcome_round_trips_through_report_markdown() {
     let mut lowered = compile(programs()[0].source).unwrap();
     let (tap, handle) = saboteur(Sabotage::InjectPanic, 0, 7);
-    let cfg = OptConfig::join_points().with_tap(tap);
+    let cfg = OptConfig::join_points()
+        .with_tap(tap)
+        .with_recovery(Recovery::RollBack);
     let (_, report) =
-        optimize_resilient(&lowered.expr, &lowered.data_env, &mut lowered.supply, &cfg).unwrap();
+        optimize_with_report(&lowered.expr, &lowered.data_env, &mut lowered.supply, &cfg).unwrap();
     assert_eq!(handle.fired(), 1);
     let reason_text = report
         .rolled_back()

@@ -40,9 +40,12 @@
 //!
 //! Errors are never transport failures: the response is
 //! `{"ok": false, "error": {"tag": …, "code": …, "message": …}}` where
-//! `code` matches the `fj` CLI's exit codes (2 parse/protocol, 3
-//! type/lint, 4 optimizer, 5 budget, 1 runtime), so a script can treat a
-//! served compile exactly like a spawned one. Two tags are service-only:
+//! `code` is [`ServeError::code`] (2 parse/protocol, 3 type/lint, 4
+//! optimizer, 5 budget, 1 runtime). The `fj` CLI builds its
+//! [`OptConfig`] through [`CompileOpts`], compiles through
+//! [`lower_checked`] and runs through [`Backend::run`], and exits with
+//! the same code for the same failure, so a served compile fails exactly
+//! like a spawned one. Two tags are service-only:
 //! `overloaded` (code 6) when admission control sheds a request or
 //! connection — the error object carries a `retry_after_ms` hint — and
 //! `internal` (code 7) when a request handler panicked and was isolated
@@ -72,11 +75,10 @@ use fj_ast::{alpha_fingerprint, DataEnv, Expr, NameSupply};
 use fj_core::cache::{CacheStore, OptCache, DEFAULT_CACHE_BYTES, DEFAULT_SHARDS};
 use fj_core::stats::PipelineReport;
 use fj_core::{
-    optimize_cached, optimize_resilient, optimize_with_report, BudgetKind, CacheStats, OptConfig,
-    OptError,
+    optimize_cached, optimize_with_report, BudgetKind, CacheStats, OptConfig, OptError, Recovery,
 };
 use fj_eval::{EvalMode, MachineError, Metrics, Outcome};
-use fj_surface::SurfaceError;
+use fj_surface::{Lowered, SurfaceError};
 use fj_vm::VmError;
 use json::Value;
 use service::ServiceStats;
@@ -84,8 +86,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// A request failure, tagged like the `fj` CLI's exit codes so served
-/// and spawned compiles fail identically.
+/// A request failure, tagged with the exit code the `fj` CLI uses for
+/// the same failure, so served and spawned compiles fail identically.
 #[derive(Clone, Debug)]
 pub enum ServeError {
     /// Malformed request JSON, unknown op, or missing/ill-typed fields.
@@ -94,11 +96,14 @@ pub enum ServeError {
     Parse(String),
     /// Lowering or lint (type) error.
     Type(String),
-    /// The optimizer failed (strict pipelines only).
+    /// The optimizer failed or refused a term that blew its growth budget
+    /// (strict pipelines only).
     Optimizer(String),
-    /// A budget was exhausted: pass deadline, run fuel, or run deadline.
+    /// A budget was exhausted: pass deadline, pass count, run fuel, or
+    /// run deadline.
     Budget(String),
-    /// The program failed at runtime (`run` op only).
+    /// The program failed at runtime (`run` op), or an I/O error in the
+    /// CLI.
     Runtime(String),
     /// Admission control shed this request or connection: the worker
     /// queue or connection cap is full. Carries a client back-off hint.
@@ -175,20 +180,117 @@ impl ServeError {
     }
 }
 
-fn opt_error(e: &OptError) -> ServeError {
-    match e {
-        // A growth breach is the optimizer *refusing a term*, not running
-        // out of time — the CLI exits 4 for it, so the served code must
-        // match. The wall-clock and pass-count budgets stay in the budget
-        // family (5).
-        OptError::Budget {
-            kind: BudgetKind::Growth,
-            ..
-        } => ServeError::Optimizer(e.to_string()),
-        OptError::Budget { .. } => ServeError::Budget(e.to_string()),
-        OptError::Type(_) => ServeError::Type(e.to_string()),
-        _ => ServeError::Optimizer(e.to_string()),
+impl From<SurfaceError> for ServeError {
+    fn from(e: SurfaceError) -> Self {
+        match e {
+            SurfaceError::Lex { .. } | SurfaceError::Parse { .. } => {
+                ServeError::Parse(e.to_string())
+            }
+            SurfaceError::Lower { .. } => ServeError::Type(e.to_string()),
+        }
     }
+}
+
+impl From<OptError> for ServeError {
+    fn from(e: OptError) -> Self {
+        match e {
+            // A growth breach is the optimizer *refusing a term*, not
+            // running out of time (4). The wall-clock and pass-count
+            // budgets are resource exhaustion (5).
+            OptError::Budget {
+                kind: BudgetKind::Growth,
+                ..
+            } => ServeError::Optimizer(e.to_string()),
+            OptError::Budget { .. } => ServeError::Budget(e.to_string()),
+            OptError::Type(_) => ServeError::Type(e.to_string()),
+            _ => ServeError::Optimizer(e.to_string()),
+        }
+    }
+}
+
+impl From<MachineError> for ServeError {
+    fn from(e: MachineError) -> Self {
+        match e {
+            MachineError::OutOfFuel | MachineError::Timeout { .. } => {
+                ServeError::Budget(e.to_string())
+            }
+            _ => ServeError::Runtime(e.to_string()),
+        }
+    }
+}
+
+impl From<VmError> for ServeError {
+    fn from(e: VmError) -> Self {
+        match e {
+            VmError::OutOfFuel | VmError::Timeout { .. } => ServeError::Budget(e.to_string()),
+            _ => ServeError::Runtime(e.to_string()),
+        }
+    }
+}
+
+/// Step budget of a `run` that names none (the `fuel` field, `--fuel`).
+pub const DEFAULT_FUEL: u64 = 100_000_000;
+
+/// Which execution backend runs a compiled program.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Backend {
+    /// The Fig. 3 substitution machine in `fj-eval` (the reference).
+    Machine,
+    /// The flat jump-threaded bytecode VM in `fj-vm`.
+    Vm,
+}
+
+impl Backend {
+    /// The name `backend` and `--backend` take.
+    pub fn name(self) -> &'static str {
+        match self {
+            Backend::Machine => "machine",
+            Backend::Vm => "vm",
+        }
+    }
+
+    /// Parse a `backend` or `--backend` value.
+    pub fn parse(s: &str) -> Option<Backend> {
+        match s {
+            "machine" => Some(Backend::Machine),
+            "vm" => Some(Backend::Vm),
+            _ => None,
+        }
+    }
+
+    /// Run a closed program under a step budget and an optional
+    /// wall-clock deadline.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Budget`] when either budget runs out, on either
+    /// backend; [`ServeError::Runtime`] for any other failure.
+    pub fn run(
+        self,
+        term: &Expr,
+        mode: EvalMode,
+        fuel: u64,
+        deadline: Option<Duration>,
+    ) -> Result<Outcome, ServeError> {
+        Ok(match self {
+            Backend::Machine => fj_eval::run_with_limits(term, mode, fuel, deadline)?,
+            Backend::Vm => fj_vm::run_with_limits(term, mode, fuel, deadline)?,
+        })
+    }
+}
+
+/// The frontend, then Core Lint: a source program lowered to a
+/// well-typed Core term, ready for [`optimize_with_report`]. Uncached
+/// compiles start here, in the server and in the `fj` CLI.
+///
+/// # Errors
+///
+/// [`ServeError::Parse`] for lexical and syntax errors,
+/// [`ServeError::Type`] for lowering and lint errors.
+pub fn lower_checked(source: &str) -> Result<Lowered, ServeError> {
+    let lowered = fj_surface::compile(source)?;
+    fj_check::lint(&lowered.expr, &lowered.data_env).map_err(OptError::Type)?;
+    Ok(lowered)
 }
 
 /// Where a compile's result came from.
@@ -233,11 +335,13 @@ pub struct Compiled {
 pub struct CompileOpts {
     /// Pipeline preset name: `join-points`, `baseline`, or `none`.
     pub preset: String,
-    /// Roll back failing passes instead of failing the request.
+    /// Roll back failing passes instead of failing the request
+    /// ([`Recovery::RollBack`]).
     pub resilient: bool,
     /// Optional per-pass deadline.
     pub deadline: Option<Duration>,
-    /// Optional per-pass term-growth budget (the CLI's `--max-growth`).
+    /// Optional per-pass term-growth budget (the CLI's `--max-growth`);
+    /// see [`CompileOpts::growth_factor`].
     pub max_growth: Option<f64>,
     /// `false` to skip both cache lookup and insert.
     pub use_cache: bool,
@@ -276,9 +380,12 @@ impl CompileOpts {
             opts.deadline = Some(Duration::from_millis(ms));
         }
         if let Some(g) = req.get("max_growth") {
-            let factor = g.as_f64().filter(|f| *f > 0.0).ok_or_else(|| {
-                ServeError::Proto("`max_growth` must be a positive number".to_string())
-            })?;
+            let factor = g
+                .as_f64()
+                .and_then(CompileOpts::growth_factor)
+                .ok_or_else(|| {
+                    ServeError::Proto("`max_growth` must be a positive number".to_string())
+                })?;
             opts.max_growth = Some(factor);
         }
         match req.get("cache").map(|c| c.as_str()) {
@@ -296,23 +403,28 @@ impl CompileOpts {
         Ok(opts)
     }
 
+    /// A growth factor the pipeline can honour: finite and above zero.
+    /// Any other value would silently become a flat
+    /// `GROWTH_FLOOR`-node cap, or no cap at all.
+    pub fn growth_factor(factor: f64) -> Option<f64> {
+        (factor.is_finite() && factor > 0.0).then_some(factor)
+    }
+
     /// The [`OptConfig`] these options denote; `None` for an unknown
     /// preset name.
     pub fn config(&self) -> Option<OptConfig> {
-        let cfg = match self.preset.as_str() {
+        let mut cfg = match self.preset.as_str() {
             "join-points" => OptConfig::join_points(),
             "baseline" => OptConfig::baseline(),
             "none" => OptConfig::none(),
             _ => return None,
         };
-        let cfg = match self.deadline {
-            Some(limit) => cfg.with_pass_deadline(limit),
-            None => cfg,
-        };
-        Some(match self.max_growth {
-            Some(factor) => cfg.with_max_growth(factor),
-            None => cfg,
-        })
+        cfg.pass_deadline = self.deadline;
+        cfg.max_growth = self.max_growth;
+        if self.resilient {
+            cfg.recovery = Recovery::RollBack;
+        }
+        Some(cfg)
     }
 }
 
@@ -561,9 +673,10 @@ impl ServerState {
         let cfg = opts
             .config()
             .ok_or_else(|| ServeError::Proto(format!("unknown preset `{}`", opts.preset)))?;
+        let resilient = cfg.recovery == Recovery::RollBack;
         let src_key = cfg
             .fingerprint()
-            .map(|cfg_fp| (source_hash(source), cfg_fp, opts.resilient));
+            .map(|cfg_fp| (source_hash(source), cfg_fp, resilient));
         if opts.use_cache {
             if let Some(key) = src_key {
                 if let Some(compiled) = self.source_lookup(key, source) {
@@ -572,13 +685,9 @@ impl ServerState {
                 }
             }
         }
-        let mut lowered = fj_surface::compile(source).map_err(|e| match e {
-            SurfaceError::Lex { .. } | SurfaceError::Parse { .. } => {
-                ServeError::Parse(e.to_string())
-            }
-            SurfaceError::Lower { .. } => ServeError::Type(e.to_string()),
-        })?;
+        let mut lowered;
         let (term, report, cache) = if opts.use_cache {
+            lowered = fj_surface::compile(source)?;
             // `optimize_cached` lints the input on every pipeline run and
             // skips the lint on α-verified hits.
             let (term, report, hit) = optimize_cached(
@@ -586,10 +695,8 @@ impl ServerState {
                 &lowered.data_env,
                 &mut lowered.supply,
                 &cfg,
-                opts.resilient,
                 &self.cache,
-            )
-            .map_err(|e| opt_error(&e))?;
+            )?;
             let disposition = if hit {
                 CacheDisposition::Hit
             } else {
@@ -597,14 +704,9 @@ impl ServerState {
             };
             (term, report, disposition)
         } else {
-            fj_check::lint(&lowered.expr, &lowered.data_env)
-                .map_err(|e| ServeError::Type(format!("ill-typed input: {e}")))?;
-            let run = if opts.resilient {
-                optimize_resilient(&lowered.expr, &lowered.data_env, &mut lowered.supply, &cfg)
-            } else {
-                optimize_with_report(&lowered.expr, &lowered.data_env, &mut lowered.supply, &cfg)
-            };
-            let (out, report) = run.map_err(|e| opt_error(&e))?;
+            lowered = lower_checked(source)?;
+            let (out, report) =
+                optimize_with_report(&lowered.expr, &lowered.data_env, &mut lowered.supply, &cfg)?;
             (Arc::new(out), Arc::new(report), CacheDisposition::Bypass)
         };
         let compiled = Compiled {
@@ -745,10 +847,13 @@ impl ServerState {
         };
         // Every run field is checked before the compile, so a malformed
         // request costs no pipeline run and leaves no cache entry.
-        let backend = match req.get("backend").map(Value::as_str) {
-            None | Some(Some("machine")) => "machine",
-            Some(Some("vm")) => "vm",
-            Some(_) => {
+        let backend = match req
+            .get("backend")
+            .map(|b| b.as_str().and_then(Backend::parse))
+        {
+            None => Backend::Machine,
+            Some(Some(backend)) => backend,
+            Some(None) => {
                 return error_response(&ServeError::Proto(
                     "`backend` must be \"machine\" or \"vm\"".to_string(),
                 ))
@@ -765,7 +870,7 @@ impl ServerState {
             }
         };
         let fuel = match req.get("fuel") {
-            None => 100_000_000,
+            None => DEFAULT_FUEL,
             Some(v) => match v.as_u64() {
                 Some(n) => n,
                 None => {
@@ -790,25 +895,12 @@ impl ServerState {
             Ok(c) => c,
             Err(e) => return error_response(&e),
         };
-        let outcome: Result<Outcome, ServeError> = if backend == "vm" {
-            fj_vm::run_with_limits(&compiled.term, mode, fuel, timeout).map_err(|e| match e {
-                VmError::OutOfFuel | VmError::Timeout { .. } => ServeError::Budget(e.to_string()),
-                other => ServeError::Runtime(other.to_string()),
-            })
-        } else {
-            fj_eval::run_with_limits(&compiled.term, mode, fuel, timeout).map_err(|e| match e {
-                MachineError::OutOfFuel | MachineError::Timeout { .. } => {
-                    ServeError::Budget(e.to_string())
-                }
-                other => ServeError::Runtime(other.to_string()),
-            })
-        };
-        match outcome {
+        match backend.run(&compiled.term, mode, fuel, timeout) {
             Ok(out) => ok_response([
                 ("cache", Value::str(compiled.cache.as_str())),
                 ("value", Value::str(out.value.to_string())),
                 ("metrics", metrics_json(&out.metrics)),
-                ("backend", Value::str(backend)),
+                ("backend", Value::str(backend.name())),
             ]),
             Err(e) => error_response(&e),
         }
@@ -1164,10 +1256,22 @@ def main : Int =
             "{generous}"
         );
 
-        let malformed = compile(&[("max_growth", Value::Num(-1.0))]);
-        let err = malformed.get("error").expect("error object");
-        assert_eq!(err.get("tag").and_then(Value::as_str), Some("proto"));
-        assert_eq!(err.get("code").and_then(Value::as_u64), Some(2));
+        // `1e999` overflows to infinity, which is no factor either.
+        for factor in ["-1", "0", "1e999"] {
+            let line = compile_req(&[("max_growth", Value::num(7))])
+                .replace("\"max_growth\": 7", &format!("\"max_growth\": {factor}"));
+            let (resp, _) = state.handle_line(&line);
+            let malformed = json::parse(&resp).unwrap();
+            let err = malformed.get("error").expect("error object");
+            assert_eq!(err.get("tag").and_then(Value::as_str), Some("proto"));
+            assert_eq!(err.get("code").and_then(Value::as_u64), Some(2));
+            assert!(
+                err.get("message")
+                    .and_then(Value::as_str)
+                    .is_some_and(|m| m.contains("max_growth")),
+                "{factor}: {resp}"
+            );
+        }
     }
 
     #[test]

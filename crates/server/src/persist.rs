@@ -272,7 +272,6 @@ def main : Int = area (Square 3 4) + area (Circle 2);
             &lowered.data_env,
             &mut lowered.supply,
             &OptConfig::join_points(),
-            false,
             cache,
         )
         .unwrap();
@@ -398,7 +397,6 @@ def main : Int = area (Square 3 4) + area (Circle 2);
             &lowered.data_env,
             &mut lowered.supply,
             &OptConfig::join_points(),
-            false,
             &cache,
         )
         .unwrap();

@@ -197,8 +197,9 @@ fn surface_program_optimizes() {
     ";
     let mut lowered = compile_lint(src);
     let cfg = fj_core::OptConfig::join_points().with_lint(true);
-    let out =
-        fj_core::optimize(&lowered.expr, &lowered.data_env, &mut lowered.supply, &cfg).unwrap();
+    let (out, _) =
+        fj_core::optimize_with_report(&lowered.expr, &lowered.data_env, &mut lowered.supply, &cfg)
+            .unwrap();
     assert_eq!(run_int(&out, EvalMode::CallByValue, FUEL).unwrap(), 5050);
     let m = run(&out, EvalMode::CallByValue, FUEL).unwrap().metrics;
     assert_eq!(

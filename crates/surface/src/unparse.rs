@@ -374,7 +374,7 @@ mod tests {
                in go 100 0;";
         let lowered = compile(src).unwrap();
         let mut supply = lowered.supply;
-        let opt = fj_core::optimize(
+        let (opt, _) = fj_core::optimize_with_report(
             &lowered.expr,
             &lowered.data_env,
             &mut supply,

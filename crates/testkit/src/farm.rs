@@ -40,7 +40,7 @@ use crate::saboteur::{saboteur, Sabotage};
 use crate::shrink::{shrink, DEFAULT_SHRINK_BUDGET};
 use fj_ast::{alpha_eq, DataEnv, Expr};
 use fj_core::{
-    erase, optimize_cached, optimize_resilient, optimize_with_report, par_map, OptCache, OptConfig,
+    erase, optimize_cached, optimize_with_report, par_map, OptCache, OptConfig, Recovery,
 };
 use fj_eval::{EvalMode, Value};
 use std::path::{Path, PathBuf};
@@ -262,10 +262,7 @@ pub fn check_routes(cfg: &FarmConfig, g: &G, seed: u64) -> Result<bool, (RoutePa
     let strict_cfg = match cfg.sabotage {
         Some((mode, target)) => {
             let (tap, _handle) = saboteur(mode, target, seed);
-            OptConfig::join_points()
-                .with_pass_deadline(cfg.pass_deadline)
-                .with_tap(tap)
-                .with_lint(false)
+            clean_cfg.clone().with_tap(tap).with_lint(false)
         }
         None => clean_cfg.clone(),
     };
@@ -278,10 +275,12 @@ pub fn check_routes(cfg: &FarmConfig, g: &G, seed: u64) -> Result<bool, (RoutePa
             )
         })?;
 
-    // resilient route, never tapped: under sabotage it is the clean
-    // reference the corrupted strict output is compared against.
+    // resilient route, never tapped: it differs from the strict route
+    // only in `recovery`, and under sabotage it is the clean reference the
+    // corrupted strict output is compared against.
+    let resilient_cfg = clean_cfg.clone().with_recovery(Recovery::RollBack);
     let mut res_supply = d.supply.clone();
-    let (resilient_out, _) = optimize_resilient(&e, &d.data_env, &mut res_supply, &clean_cfg)
+    let (resilient_out, _) = optimize_with_report(&e, &d.data_env, &mut res_supply, &resilient_cfg)
         .map_err(|err| {
             (
                 ("resilient", "optimizer"),
@@ -305,14 +304,12 @@ pub fn check_routes(cfg: &FarmConfig, g: &G, seed: u64) -> Result<bool, (RoutePa
     let cache = OptCache::with_budget(2, usize::MAX);
     let mut cold_supply = d.supply.clone();
     let (cold_out, _, cold_hit) =
-        optimize_cached(&e, &d.data_env, &mut cold_supply, &clean_cfg, false, &cache).map_err(
-            |err| {
-                (
-                    ("cache-cold", "optimizer"),
-                    format!("cold cached compile failed: {err}"),
-                )
-            },
-        )?;
+        optimize_cached(&e, &d.data_env, &mut cold_supply, &clean_cfg, &cache).map_err(|err| {
+            (
+                ("cache-cold", "optimizer"),
+                format!("cold cached compile failed: {err}"),
+            )
+        })?;
     if cold_hit {
         return Err((
             ("cache-cold", "cache"),
@@ -328,15 +325,13 @@ pub fn check_routes(cfg: &FarmConfig, g: &G, seed: u64) -> Result<bool, (RoutePa
         ));
     }
     let mut hit_supply = d.supply.clone();
-    let (hit_out, _, hit) =
-        optimize_cached(&e, &d.data_env, &mut hit_supply, &clean_cfg, false, &cache).map_err(
-            |err| {
-                (
-                    ("cache-hit", "optimizer"),
-                    format!("warm cached compile failed: {err}"),
-                )
-            },
-        )?;
+    let (hit_out, _, hit) = optimize_cached(&e, &d.data_env, &mut hit_supply, &clean_cfg, &cache)
+        .map_err(|err| {
+        (
+            ("cache-hit", "optimizer"),
+            format!("warm cached compile failed: {err}"),
+        )
+    })?;
     if !hit {
         return Err((
             ("cache-hit", "cache"),

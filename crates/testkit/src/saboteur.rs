@@ -3,8 +3,9 @@
 //! A [`Saboteur`] is a [`PassTap`] that corrupts the output of one chosen
 //! pipeline pass in a deterministic, seed-driven way. Each corruption is
 //! constructed so that Core Lint is *guaranteed* to reject the result:
-//! the fault-injection suites assert that `optimize_resilient` catches
-//! every injected fault, rolls the pass back, and still produces a
+//! the fault-injection suites assert that the resilient pipeline
+//! ([`Recovery::RollBack`](fj_core::Recovery::RollBack)) catches every
+//! injected fault, rolls the pass back, and still produces a
 //! program that evaluates to the unoptimized program's value. Two extra
 //! modes exercise the non-lint guards: an injected panic
 //! (`catch_unwind` isolation) and an infinite spin (the per-pass
@@ -298,7 +299,7 @@ fn map_expr(e: &Expr, f: &mut impl FnMut(Expr) -> Expr) -> Expr {
 mod tests {
     use super::*;
     use crate::gen::{build_closed, gen};
-    use fj_core::{optimize_resilient, OptConfig, PassOutcome};
+    use fj_core::{optimize_with_report, OptConfig, PassOutcome, Recovery};
     use fj_eval::{run, EvalMode};
 
     const FUEL: u64 = 5_000_000;
@@ -326,11 +327,13 @@ mod tests {
                 continue;
             };
             let (tap, handle) = saboteur(mode, target, 0xBEEF + case);
-            let mut cfg = OptConfig::join_points().with_tap(tap);
+            let mut cfg = OptConfig::join_points()
+                .with_tap(tap)
+                .with_recovery(Recovery::RollBack);
             if mode == Sabotage::InjectSpin {
                 cfg = cfg.with_pass_deadline(Duration::from_millis(40));
             }
-            let (out, report) = optimize_resilient(&e, &d.data_env, &mut d.supply, &cfg)
+            let (out, report) = optimize_with_report(&e, &d.data_env, &mut d.supply, &cfg)
                 .expect("resilient pipeline never fails");
             let fired = handle.fired();
             fired_total += fired;

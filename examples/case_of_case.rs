@@ -13,7 +13,7 @@
 
 use system_fj::ast::{Alt, AltCon, Dsl, Expr, Ident, PrimOp, Type};
 use system_fj::check::lint;
-use system_fj::core::{optimize, OptConfig};
+use system_fj::core::{optimize_with_report, OptConfig};
 
 fn big(x: Expr) -> Expr {
     let mut acc = x;
@@ -55,12 +55,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut d1 = Dsl::new();
     let p1 = build(&mut d1);
-    let joined = optimize(&p1, &d1.data_env, &mut d1.supply, &OptConfig::join_points())?;
+    let (joined, _) =
+        optimize_with_report(&p1, &d1.data_env, &mut d1.supply, &OptConfig::join_points())?;
     println!("--- join-points pipeline ---\n{joined}\n");
 
     let mut d2 = Dsl::new();
     let p2 = build(&mut d2);
-    let base = optimize(&p2, &d2.data_env, &mut d2.supply, &OptConfig::baseline())?;
+    let (base, _) =
+        optimize_with_report(&p2, &d2.data_env, &mut d2.supply, &OptConfig::baseline())?;
     println!("--- baseline pipeline ---\n{base}\n");
 
     println!("Note how the join-points output scrutinizes `v` directly —");

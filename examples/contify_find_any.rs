@@ -11,7 +11,7 @@
 
 use system_fj::ast::{Dsl, Expr, PrimOp, Type};
 use system_fj::check::lint;
-use system_fj::core::{contify_counting, optimize, OptConfig};
+use system_fj::core::{contify_counting, optimize_with_report, OptConfig};
 use system_fj::eval::{run, EvalMode};
 
 fn build(d: &mut Dsl, n: i64) -> Expr {
@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("--- after contification ({n} binding(s) became joins) ---\n{contified}\n");
 
     // Step 2: the full pipeline (contify + jfloat + simplify).
-    let out = optimize(
+    let (out, _) = optimize_with_report(
         &program,
         &d.data_env,
         &mut d.supply,

@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use system_fj::core::{optimize, OptConfig};
+use system_fj::core::{optimize_with_report, OptConfig};
 use system_fj::eval::{run, EvalMode};
 use system_fj::surface::compile;
 
@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("join points (the paper)", OptConfig::join_points()),
     ] {
         let mut p = compile(SRC)?;
-        let opt = optimize(&p.expr, &p.data_env, &mut p.supply, &cfg)?;
+        let (opt, _) = optimize_with_report(&p.expr, &p.data_env, &mut p.supply, &cfg)?;
         let out = run(&opt, EvalMode::CallByValue, 10_000_000)?;
         println!("--- {label} ---\nresult = {}\n{}\n", out.value, out.metrics);
     }

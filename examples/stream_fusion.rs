@@ -13,7 +13,7 @@
 //! ```
 
 use system_fj::ast::{Dsl, Expr, PrimOp, Type};
-use system_fj::core::{optimize, OptConfig};
+use system_fj::core::{optimize_with_report, OptConfig};
 use system_fj::eval::{run, EvalMode};
 use system_fj::fusion::{enum_from_to, filter_s, int_lambda, map_s, sum_s, StepVariant};
 
@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ] {
                 let mut d = Dsl::new();
                 let e = pipeline(&mut d, variant, n);
-                let opt = optimize(&e, &d.data_env, &mut d.supply, &cfg)?;
+                let (opt, _) = optimize_with_report(&e, &d.data_env, &mut d.supply, &cfg)?;
                 let o = run(&opt, EvalMode::CallByValue, 50_000_000)?;
                 println!(
                     "{:<10} {:<12} {:>6} {:>8} {:>10} {:>8}",

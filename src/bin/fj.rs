@@ -32,7 +32,7 @@
 //!
 //! options: --baseline | -O0, --backend machine|vm, --mode name|need|value,
 //!          --fuel N, --timeout-ms N, --metrics, --resilient,
-//!          --pass-deadline-ms N, --max-growth F, --max-passes N,
+//!          --pass-deadline-ms N, --max-growth F (finite, > 0), --max-passes N,
 //!          --addr HOST:PORT, --port N, --shards N, --cache-bytes N,
 //!          --cache-dir DIR, --workers N, --queue N, --max-conns N,
 //!          --max-line BYTES, --idle-timeout-ms N, --drain-ms N (serve only),
@@ -40,41 +40,38 @@
 //!          --corpus DIR, --no-adversarial, --sabotage MODE:PASS (fuzz only)
 //!
 //! `fj serve` speaks newline-delimited JSON over TCP; see the `fj-server`
-//! crate docs and README for the protocol. Request failures carry a
-//! `code` field that mirrors the exit codes below.
+//! crate docs and README for the protocol.
 //!
-//! exit codes: 0 success; 1 I/O or other runtime error; 2 usage, lexical,
-//! or parse error; 3 lowering or lint (type) error; 4 optimizer error;
-//! 5 evaluation budget exhausted (fuel or wall-clock deadline). Served
-//! requests additionally use 6 (`overloaded`: request or connection shed
-//! by admission control — retry after `retry_after_ms`) and 7
-//! (`internal`: the request handler panicked) in their `code` field.
+//! exit codes: 0 success; 2 usage. Every other failure exits with the
+//! `code` a served request answers for it (`ServeError::code`): 1 I/O or
+//! other runtime error; 2 lexical or parse error; 3 lowering or lint
+//! (type) error; 4 optimizer error, including a pass past `--max-growth`;
+//! 5 budget exhausted (run fuel or `--timeout-ms`, `--pass-deadline-ms`
+//! or `--max-passes`). Served requests also use 6 (`overloaded`: request
+//! or connection shed by admission control — retry after
+//! `retry_after_ms`) and 7 (`internal`: the request handler panicked).
 //! ```
 
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Duration;
 
-use system_fj::check::lint;
-use system_fj::core::{erase, optimize_resilient, optimize_with_report, OptConfig};
-use system_fj::eval::{EvalMode, MachineError};
-use system_fj::nofib::Backend;
-use system_fj::surface::{compile, SurfaceError};
+use system_fj::core::{erase, optimize_with_report, OptConfig};
+use system_fj::eval::EvalMode;
+use system_fj::server::{
+    lower_checked, Backend, CompileOpts, FileStore, ServeConfig, ServeError, ServerState,
+    DEFAULT_FUEL,
+};
 use system_fj::testkit::farm::FarmConfig;
 use system_fj::testkit::Sabotage;
-use system_fj::vm::VmError;
 
-/// Exit code for usage, lexical, and parse errors.
-const EXIT_PARSE: u8 = 2;
-/// Exit code for lowering and lint (type) errors.
-const EXIT_TYPE: u8 = 3;
-/// Exit code for optimizer failures.
-const EXIT_OPT: u8 = 4;
-/// Exit code for exhausted evaluation budgets (fuel or deadline).
-const EXIT_BUDGET: u8 = 5;
+/// Exit code for a command line that does not parse.
+const EXIT_USAGE: u8 = 2;
 
 struct Options {
     command: String,
     file: String,
+    /// Built once, after every flag is read, so flag order cannot matter.
     config: OptConfig,
     config_name: &'static str,
     mode: EvalMode,
@@ -83,13 +80,12 @@ struct Options {
     timeout: Option<Duration>,
     metrics: bool,
     before: bool,
-    resilient: bool,
     vm_ops: bool,
     addr: String,
     shards: usize,
     cache_bytes: usize,
     cache_dir: Option<std::path::PathBuf>,
-    serve_cfg: system_fj::server::ServeConfig,
+    serve_cfg: ServeConfig,
     fuzz: FarmConfig,
 }
 
@@ -116,11 +112,12 @@ fn usage() -> ExitCode {
          \x20              [--sabotage MODE:PASS]\n\
          \x20                  (parallel differential fuzz farm over every compile\n\
          \x20                   route; shrunk repros land in the corpus directory)\n\
-         exit codes: 1 I/O or runtime, 2 usage/parse, 3 type/lint, 4 optimizer, \
-         5 fuel/deadline exhausted (served requests also use 6 overloaded, \
-         7 internal)"
+         exit codes: 1 I/O or runtime, 2 usage/parse, 3 type/lint, 4 optimizer \
+         (--max-growth), 5 budget exhausted (--fuel, --timeout-ms, \
+         --pass-deadline-ms, --max-passes); served requests answer the same \
+         codes and also use 6 overloaded, 7 internal"
     );
-    ExitCode::from(EXIT_PARSE)
+    ExitCode::from(EXIT_USAGE)
 }
 
 fn parse_args() -> Result<Options, ExitCode> {
@@ -134,21 +131,21 @@ fn parse_args() -> Result<Options, ExitCode> {
     ) {
         return Err(usage());
     }
-    let mut config = OptConfig::join_points();
+    let mut compile = CompileOpts::default();
+    let mut max_passes = None;
     let mut config_name = "join-points";
     let mut mode = EvalMode::CallByValue;
     let mut backend = Backend::Machine;
-    let mut fuel = 100_000_000u64;
+    let mut fuel = DEFAULT_FUEL;
     let mut timeout = None;
     let mut metrics = false;
     let mut before = false;
-    let mut resilient = false;
     let mut vm_ops = false;
     let mut addr = "127.0.0.1:7117".to_string();
     let mut shards = system_fj::core::cache::DEFAULT_SHARDS;
     let mut cache_bytes = system_fj::core::cache::DEFAULT_CACHE_BYTES;
     let mut cache_dir: Option<std::path::PathBuf> = None;
-    let mut serve_cfg = system_fj::server::ServeConfig::default();
+    let mut serve_cfg = ServeConfig::default();
     let mut fuzz = FarmConfig {
         corpus_dir: Some("fuzz/corpus".into()),
         ..FarmConfig::default()
@@ -158,16 +155,16 @@ fn parse_args() -> Result<Options, ExitCode> {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--baseline" => {
-                config = OptConfig::baseline();
+                compile.preset = "baseline".into();
                 config_name = "baseline";
             }
             "-O0" => {
-                config = OptConfig::none();
+                compile.preset = "none".into();
                 config_name = "unoptimized";
             }
             "--metrics" => metrics = true,
             "--before" => before = true,
-            "--resilient" => resilient = true,
+            "--resilient" => compile.resilient = true,
             "--mode" => {
                 mode = match args.next().as_deref() {
                     Some("name") => EvalMode::CallByName,
@@ -219,15 +216,15 @@ fn parse_args() -> Result<Options, ExitCode> {
             }
             "--pass-deadline-ms" => {
                 let ms: u64 = args.next().and_then(|n| n.parse().ok()).ok_or_else(usage)?;
-                config = config.with_pass_deadline(Duration::from_millis(ms));
+                compile.deadline = Some(Duration::from_millis(ms));
             }
             "--max-growth" => {
-                let f: f64 = args.next().and_then(|n| n.parse().ok()).ok_or_else(usage)?;
-                config = config.with_max_growth(f);
+                let f = args.next().and_then(|n| n.parse().ok());
+                compile.max_growth =
+                    Some(f.and_then(CompileOpts::growth_factor).ok_or_else(usage)?);
             }
             "--max-passes" => {
-                let n: usize = args.next().and_then(|n| n.parse().ok()).ok_or_else(usage)?;
-                config = config.with_max_passes(n);
+                max_passes = Some(args.next().and_then(|n| n.parse().ok()).ok_or_else(usage)?);
             }
             "--workers" => {
                 let n: usize = args.next().and_then(|n| n.parse().ok()).ok_or_else(usage)?;
@@ -285,6 +282,8 @@ fn parse_args() -> Result<Options, ExitCode> {
     } else {
         file.ok_or_else(usage)?
     };
+    let mut config = compile.config().ok_or_else(usage)?;
+    config.max_passes = max_passes;
     Ok(Options {
         command,
         file,
@@ -296,7 +295,6 @@ fn parse_args() -> Result<Options, ExitCode> {
         timeout,
         metrics,
         before,
-        resilient,
         vm_ops,
         addr,
         shards,
@@ -312,154 +310,133 @@ fn main() -> ExitCode {
         Ok(o) => o,
         Err(code) => return code,
     };
-    if opts.command == "report" {
-        if opts.vm_ops {
-            let report = system_fj::nofib::vm_ops::run_vm_op_report();
-            print!("{}", system_fj::nofib::vm_ops::format_vm_op_report(&report));
-        } else {
-            let rows = system_fj::nofib::run_report();
-            print!("{}", system_fj::nofib::format_report(&rows));
+    let done = match opts.command.as_str() {
+        "report" => {
+            report(opts.vm_ops);
+            Ok(())
         }
-        return ExitCode::SUCCESS;
+        "fuzz" => fuzz(&opts.fuzz),
+        "serve" => serve(&opts),
+        _ => compile_file(&opts),
+    };
+    match done {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            let at = if opts.file.is_empty() {
+                String::new()
+            } else {
+                format!("{}: ", opts.file)
+            };
+            eprintln!("fj: {at}{}", e.message());
+            ExitCode::from(e.code())
+        }
     }
-    if opts.command == "fuzz" {
-        let cfg = &opts.fuzz;
-        let sab = match cfg.sabotage {
-            Some((mode, target)) => format!(", sabotage {}:{target}", mode.name()),
+}
+
+fn report(vm_ops: bool) {
+    if vm_ops {
+        let report = system_fj::nofib::vm_ops::run_vm_op_report();
+        print!("{}", system_fj::nofib::vm_ops::format_vm_op_report(&report));
+    } else {
+        let rows = system_fj::nofib::run_report();
+        print!("{}", system_fj::nofib::format_report(&rows));
+    }
+}
+
+fn fuzz(cfg: &FarmConfig) -> Result<(), ServeError> {
+    let sab = match cfg.sabotage {
+        Some((mode, target)) => format!(", sabotage {}:{target}", mode.name()),
+        None => String::new(),
+    };
+    println!(
+        "fj fuzz: seed {}, {} cases, depth {}, adversarial bands {}{sab}",
+        cfg.seed,
+        cfg.cases,
+        cfg.depth,
+        if cfg.adversarial { "on" } else { "off" },
+    );
+    let report = system_fj::testkit::run_farm(cfg);
+    for f in &report.failures {
+        let repro = match &f.repro {
+            Some(p) => format!(" (repro: {})", p.display()),
             None => String::new(),
         };
-        println!(
-            "fj fuzz: seed {}, {} cases, depth {}, adversarial bands {}{sab}",
-            cfg.seed,
-            cfg.cases,
-            cfg.depth,
-            if cfg.adversarial { "on" } else { "off" },
+        let headline = f.shrunk_message.lines().next().unwrap_or("");
+        eprintln!(
+            "fj fuzz: FAIL case {} seed {:#018x}: {} vs {}: {} [shrunk {} -> {} nodes]{repro}",
+            f.case,
+            f.case_seed,
+            f.routes.0,
+            f.routes.1,
+            headline,
+            f.original_size,
+            f.shrunk.size(),
         );
-        let report = system_fj::testkit::run_farm(cfg);
-        for f in &report.failures {
-            let repro = match &f.repro {
-                Some(p) => format!(" (repro: {})", p.display()),
-                None => String::new(),
-            };
-            let headline = f.shrunk_message.lines().next().unwrap_or("");
-            eprintln!(
-                "fj fuzz: FAIL case {} seed {:#018x}: {} vs {}: {} [shrunk {} -> {} nodes]{repro}",
-                f.case,
-                f.case_seed,
-                f.routes.0,
-                f.routes.1,
-                headline,
-                f.original_size,
-                f.shrunk.size(),
-            );
-        }
-        println!(
-            "fj fuzz: {} run ({} with join points, {} adversarial), {} skipped, {} failures in {:.2?}",
-            report.cases_run,
-            report.join_programs,
-            report.adversarial_cases,
-            report.cases_skipped,
-            report.failures.len(),
-            report.elapsed,
-        );
-        return if report.ok() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::from(1)
-        };
     }
-    if opts.command == "serve" {
-        use std::io::Write as _;
-        let listener = match std::net::TcpListener::bind(&opts.addr) {
-            Ok(l) => l,
-            Err(e) => {
-                eprintln!("fj: serve: cannot bind {}: {e}", opts.addr);
-                return ExitCode::from(1);
-            }
-        };
-        let local = match listener.local_addr() {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("fj: serve: {e}");
-                return ExitCode::from(1);
-            }
-        };
-        let mut state = system_fj::server::ServerState::with_config(
-            opts.shards,
-            opts.cache_bytes,
-            opts.serve_cfg,
-        );
-        if let Some(dir) = &opts.cache_dir {
-            match system_fj::server::FileStore::open(dir) {
-                Ok(store) => state = state.with_store(std::sync::Arc::new(store)),
-                Err(e) => {
-                    eprintln!("fj: serve: cannot open cache dir {}: {e}", dir.display());
-                    return ExitCode::from(1);
-                }
-            }
-        }
-        // Scripts parse this line to learn the ephemeral port (`--port 0`).
-        println!("fj serve: listening on {local}");
-        let _ = std::io::stdout().flush();
-        let state = std::sync::Arc::new(state);
-        return match system_fj::server::serve(listener, state) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("fj: serve: {e}");
-                ExitCode::from(1)
-            }
-        };
+    println!(
+        "fj fuzz: {} run ({} with join points, {} adversarial), {} skipped, {} failures in {:.2?}",
+        report.cases_run,
+        report.join_programs,
+        report.adversarial_cases,
+        report.cases_skipped,
+        report.failures.len(),
+        report.elapsed,
+    );
+    if report.ok() {
+        Ok(())
+    } else {
+        Err(ServeError::Runtime(format!(
+            "fuzz: {} failures",
+            report.failures.len()
+        )))
     }
-    let src = match std::fs::read_to_string(&opts.file) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("fj: cannot read {}: {e}", opts.file);
-            return ExitCode::from(1);
-        }
-    };
-    let mut lowered = match compile(&src) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("fj: {}: {e}", opts.file);
-            // Frontend stages map to distinct exit codes: lexical and
-            // syntactic trouble is 2, name/type trouble during lowering
-            // is 3 (the same family as lint).
-            return match e {
-                SurfaceError::Lex { .. } | SurfaceError::Parse { .. } => ExitCode::from(EXIT_PARSE),
-                SurfaceError::Lower { .. } => ExitCode::from(EXIT_TYPE),
-            };
-        }
-    };
-    if let Err(e) = lint(&lowered.expr, &lowered.data_env) {
-        eprintln!("fj: {}: lint: {e}", opts.file);
-        return ExitCode::from(EXIT_TYPE);
+}
+
+fn serve(opts: &Options) -> Result<(), ServeError> {
+    use std::io::Write as _;
+    let io = |e: std::io::Error| ServeError::Runtime(format!("serve: {e}"));
+    let listener = std::net::TcpListener::bind(&opts.addr)
+        .map_err(|e| ServeError::Runtime(format!("serve: cannot bind {}: {e}", opts.addr)))?;
+    let local = listener.local_addr().map_err(io)?;
+    let mut state = ServerState::with_config(opts.shards, opts.cache_bytes, opts.serve_cfg.clone());
+    if let Some(dir) = &opts.cache_dir {
+        let store = FileStore::open(dir).map_err(|e| {
+            ServeError::Runtime(format!(
+                "serve: cannot open cache dir {}: {e}",
+                dir.display()
+            ))
+        })?;
+        state = state.with_store(Arc::new(store));
     }
+    // Scripts parse this line to learn the ephemeral port (`--port 0`).
+    println!("fj serve: listening on {local}");
+    let _ = std::io::stdout().flush();
+    system_fj::server::serve(listener, Arc::new(state)).map_err(io)
+}
+
+/// `run`, `dump`, `check` and `erase`: the server's uncached compile path
+/// (frontend, lint, pipeline) and its backends, on one file.
+fn compile_file(opts: &Options) -> Result<(), ServeError> {
+    let src = std::fs::read_to_string(&opts.file)
+        .map_err(|e| ServeError::Runtime(format!("cannot read: {e}")))?;
+    let mut lowered = lower_checked(&src)?;
     if opts.command == "check" {
         println!("{}: OK", opts.file);
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
     if opts.command == "dump" && opts.before {
         println!("{}", lowered.expr);
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
-
-    let (expr, env, config) = (&lowered.expr, &lowered.data_env, &opts.config);
-    let optimized = if opts.resilient {
-        optimize_resilient(expr, env, &mut lowered.supply, config)
-    } else {
-        optimize_with_report(expr, env, &mut lowered.supply, config)
-    };
-    let (optimized, report) = match optimized {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("fj: optimizer: {e}");
-            return ExitCode::from(EXIT_OPT);
-        }
-    };
+    let (optimized, report) = optimize_with_report(
+        &lowered.expr,
+        &lowered.data_env,
+        &mut lowered.supply,
+        &opts.config,
+    )?;
     for p in report.rolled_back() {
         eprintln!("fj: optimizer: pass `{}` {}", p.pass, p.outcome);
     }
-
     match opts.command.as_str() {
         "dump" => {
             let (before, after) = (report.census_before.size, report.census_after.size);
@@ -470,59 +447,27 @@ fn main() -> ExitCode {
             );
             println!("-- size: {before} -> {after}");
             println!("{optimized}");
-            ExitCode::SUCCESS
         }
-        "erase" => match erase(&optimized, &lowered.data_env, &mut lowered.supply) {
-            Ok(erased) => {
-                println!("{erased}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("fj: erase: {e}");
-                ExitCode::from(1)
-            }
-        },
-        "run" => {
-            // Both backends run with the same fuel and optional deadline;
-            // their budget errors map to the same exit code, so scripts
-            // see `5` for "ran out of budget" regardless of backend.
-            let outcome = match opts.backend {
-                Backend::Machine => {
-                    system_fj::eval::run_with_limits(&optimized, opts.mode, opts.fuel, opts.timeout)
-                        .map_err(|e| {
-                            let budget =
-                                matches!(e, MachineError::OutOfFuel | MachineError::Timeout { .. });
-                            (e.to_string(), budget)
-                        })
-                }
-                Backend::Vm => {
-                    system_fj::vm::run_with_limits(&optimized, opts.mode, opts.fuel, opts.timeout)
-                        .map_err(|e| {
-                            let budget = matches!(e, VmError::OutOfFuel | VmError::Timeout { .. });
-                            (e.to_string(), budget)
-                        })
-                }
-            };
-            match outcome {
-                Ok(out) => {
-                    println!("{}", out.value);
-                    if opts.metrics {
-                        eprintln!(
-                            "[{} | {:?} | {}] {}",
-                            opts.config_name,
-                            opts.mode,
-                            opts.backend.name(),
-                            out.metrics
-                        );
-                    }
-                    ExitCode::SUCCESS
-                }
-                Err((msg, budget)) => {
-                    eprintln!("fj: runtime: {msg}");
-                    ExitCode::from(if budget { EXIT_BUDGET } else { 1 })
-                }
+        "erase" => println!(
+            "{}",
+            erase(&optimized, &lowered.data_env, &mut lowered.supply)?
+        ),
+        // `run`, the one command left.
+        _ => {
+            let out = opts
+                .backend
+                .run(&optimized, opts.mode, opts.fuel, opts.timeout)?;
+            println!("{}", out.value);
+            if opts.metrics {
+                eprintln!(
+                    "[{} | {:?} | {}] {}",
+                    opts.config_name,
+                    opts.mode,
+                    opts.backend.name(),
+                    out.metrics
+                );
             }
         }
-        _ => usage(),
     }
+    Ok(())
 }

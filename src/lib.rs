@@ -27,7 +27,7 @@
 //!
 //! ```
 //! use system_fj::surface::compile;
-//! use system_fj::core::{optimize, OptConfig};
+//! use system_fj::core::{optimize_with_report, OptConfig};
 //! use system_fj::eval::{run, EvalMode};
 //!
 //! let mut p = compile(
@@ -37,7 +37,10 @@
 //!            if n <= 0 then acc else go (n - 1) (acc + n)
 //!        in go 100 0;",
 //! )?;
-//! let opt = optimize(&p.expr, &p.data_env, &mut p.supply, &OptConfig::join_points())?;
+//! // `OptConfig::recovery` picks strict (the default) or resilient.
+//! let cfg = OptConfig::join_points();
+//! let (opt, report) = optimize_with_report(&p.expr, &p.data_env, &mut p.supply, &cfg)?;
+//! assert!(report.all_applied());
 //! let out = run(&opt, EvalMode::CallByValue, 1_000_000)?;
 //! assert_eq!(out.value.to_string(), "5050");
 //! assert_eq!(out.metrics.total_allocs(), 0); // the loop became a join point

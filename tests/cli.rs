@@ -25,10 +25,21 @@ fn run_sum_program() {
 
 #[test]
 fn metrics_show_zero_allocations_for_sum() {
-    let (stdout, stderr, ok) = fj(&["run", "--metrics", "programs/sum.fj"]);
-    assert!(ok);
-    assert_eq!(stdout.trim(), "500500");
-    assert!(stderr.contains("allocs=0"), "stderr: {stderr}");
+    // The VM must count exactly what the machine counts.
+    for backend in ["machine", "vm"] {
+        let (stdout, stderr, ok) =
+            fj(&["run", "--backend", backend, "--metrics", "programs/sum.fj"]);
+        assert!(ok, "{backend}: {stderr}");
+        assert_eq!(stdout.trim(), "500500", "{backend}");
+        assert!(
+            stderr.contains(&format!("| {backend}] ")),
+            "{backend}: {stderr}"
+        );
+        assert!(
+            stderr.contains("allocs=0 (let=0 arg=0 con=0) jumps=1001"),
+            "{backend}: {stderr}"
+        );
+    }
 }
 
 #[test]
@@ -127,7 +138,8 @@ fn report_renders_markdown_comparison() {
 }
 
 /// As [`fj`], but returning the raw exit code (the CLI's documented
-/// contract: 2 usage/parse, 3 type/lint, 4 optimizer, 5 budget).
+/// contract: 2 usage/parse, 3 type/lint, 4 optimizer, 5 budget — the
+/// `code` a served request answers for the same failure).
 fn fj_code(args: &[&str]) -> (String, String, Option<i32>) {
     let out = Command::new(env!("CARGO_BIN_EXE_fj"))
         .args(args)
@@ -300,4 +312,103 @@ fn resilient_budget_flags_are_accepted() {
     ]);
     assert!(ok, "stderr: {stderr}");
     assert_eq!(stdout.trim(), "500500");
+}
+
+/// One failure class per row: `fj run` with the flags must exit with the
+/// `code` a server answers to a `run` request for the same program and
+/// settings, and both must be the documented code.
+#[test]
+fn every_failure_class_exits_with_the_served_code() {
+    use system_fj::server::json::{self, Value};
+    use system_fj::server::ServerState;
+
+    let growth = write_temp("classes_growth", &growth_heavy_program());
+    let growth = growth.to_str().unwrap();
+    let mut rows = vec![
+        (vec![], "programs/errors/syntax_error.fj", vec![], 2),
+        (vec![], "programs/errors/type_error.fj", vec![], 3),
+        (
+            vec!["--max-growth", "0.5"],
+            growth,
+            vec![("max_growth", Value::Num(0.5))],
+            4,
+        ),
+        (
+            vec!["--pass-deadline-ms", "0"],
+            "programs/sum.fj",
+            vec![("deadline_ms", Value::num(0))],
+            5,
+        ),
+    ];
+    for backend in ["machine", "vm"] {
+        rows.push((
+            vec!["--backend", backend, "--fuel", "1000"],
+            "programs/diverge.fj",
+            vec![("backend", Value::str(backend)), ("fuel", Value::num(1000))],
+            5,
+        ));
+        rows.push((
+            vec!["--backend", backend, "--timeout-ms", "50"],
+            "programs/diverge.fj",
+            vec![
+                ("backend", Value::str(backend)),
+                ("timeout_ms", Value::num(50)),
+            ],
+            5,
+        ));
+    }
+    let state = ServerState::with_defaults();
+    for (flags, program, fields, code) in rows {
+        let mut args = vec!["run"];
+        args.extend(&flags);
+        args.push(program);
+        let source =
+            std::fs::read_to_string(std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(program))
+                .unwrap();
+        let mut request = vec![("op", Value::str("run")), ("program", Value::str(source))];
+        request.extend(fields);
+        let (response, _) = state.handle_line(&Value::obj(request).to_string());
+        let served = json::parse(&response)
+            .unwrap()
+            .get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(Value::as_u64);
+        assert_eq!(served, Some(code), "{args:?}: {response}");
+        let (_, stderr, exit) = fj_code(&args);
+        assert_eq!(exit, Some(code as i32), "{args:?}: {stderr}");
+    }
+    // A pass-count budget has no wire form; it is a budget like the
+    // deadline.
+    let (_, stderr, exit) = fj_code(&["run", "--max-passes", "1", "programs/sum.fj"]);
+    assert_eq!(exit, Some(5), "{stderr}");
+    let _ = std::fs::remove_file(growth);
+}
+
+/// The pipeline is built after every flag is read, so a preset flag
+/// cannot drop a budget flag that came before it.
+#[test]
+fn preset_and_budget_flags_commute() {
+    let growth = write_temp("order_growth", &growth_heavy_program());
+    let growth = growth.to_str().unwrap();
+    for (preset, budget, program) in [
+        ("-O0", ["--pass-deadline-ms", "0"], "programs/sum.fj"),
+        ("--baseline", ["--max-growth", "0.5"], growth),
+    ] {
+        let (_, first, preset_first) = fj_code(&["run", preset, budget[0], budget[1], program]);
+        let (_, last, preset_last) = fj_code(&["run", budget[0], budget[1], preset, program]);
+        assert_ne!(preset_first, Some(0), "{preset} {budget:?}: {first}");
+        assert_eq!(preset_first, preset_last, "{preset} {budget:?}: {last}");
+    }
+    let _ = std::fs::remove_file(growth);
+}
+
+/// `--max-growth` takes what the protocol's `max_growth` takes: a finite
+/// factor above zero.
+#[test]
+fn growth_factors_the_protocol_refuses_are_usage_errors() {
+    for factor in ["0", "-1", "nan", "inf"] {
+        let (_, stderr, code) = fj_code(&["run", "--max-growth", factor, "programs/sum.fj"]);
+        assert_eq!(code, Some(2), "{factor}: {stderr}");
+        assert!(stderr.contains("usage"), "{factor}: {stderr}");
+    }
 }

@@ -2,7 +2,7 @@
 //! with erasure and mode-agreement checks — the full path a user takes.
 
 use system_fj::check::lint;
-use system_fj::core::{erase, optimize, OptConfig};
+use system_fj::core::{erase, optimize_with_report, OptConfig};
 use system_fj::eval::{run, EvalMode, Value};
 use system_fj::surface::compile;
 
@@ -111,8 +111,9 @@ fn optimizers_preserve_every_program() {
         ] {
             let mut p = compile(src).unwrap_or_else(|e| panic!("{name}: compile: {e}"));
             lint(&p.expr, &p.data_env).unwrap_or_else(|e| panic!("{name}: lint: {e}"));
-            let opt = optimize(&p.expr, &p.data_env, &mut p.supply, &cfg.with_lint(true))
-                .unwrap_or_else(|e| panic!("{name}: optimize: {e}"));
+            let (opt, _) =
+                optimize_with_report(&p.expr, &p.data_env, &mut p.supply, &cfg.with_lint(true))
+                    .unwrap_or_else(|e| panic!("{name}: optimize: {e}"));
             for mode in modes() {
                 let o =
                     run(&opt, mode, FUEL).unwrap_or_else(|e| panic!("{name} {mode:?}: {e}\n{opt}"));
@@ -127,7 +128,7 @@ fn join_points_never_allocate_more() {
     for (name, src, _) in PROGRAMS {
         let measure = |cfg: &OptConfig| {
             let mut p = compile(src).unwrap();
-            let opt = optimize(&p.expr, &p.data_env, &mut p.supply, cfg).unwrap();
+            let (opt, _) = optimize_with_report(&p.expr, &p.data_env, &mut p.supply, cfg).unwrap();
             run(&opt, EvalMode::CallByValue, FUEL).unwrap().metrics
         };
         let base = measure(&OptConfig::baseline());
@@ -146,7 +147,7 @@ fn erasure_round_trips_every_program() {
     for (name, src, expected) in PROGRAMS {
         let mut p = compile(src).unwrap();
         // Optimize WITH join points, then erase them all away again.
-        let opt = optimize(
+        let (opt, _) = optimize_with_report(
             &p.expr,
             &p.data_env,
             &mut p.supply,
@@ -174,8 +175,8 @@ fn optimization_is_stable_under_reapplication() {
     for (name, src, expected) in PROGRAMS {
         let mut p = compile(src).unwrap();
         let cfg = OptConfig::join_points();
-        let once = optimize(&p.expr, &p.data_env, &mut p.supply, &cfg).unwrap();
-        let twice = optimize(&once, &p.data_env, &mut p.supply, &cfg).unwrap();
+        let (once, _) = optimize_with_report(&p.expr, &p.data_env, &mut p.supply, &cfg).unwrap();
+        let (twice, _) = optimize_with_report(&once, &p.data_env, &mut p.supply, &cfg).unwrap();
         let o = run(&twice, EvalMode::CallByValue, FUEL).unwrap();
         assert_eq!(o.value, Value::Int(*expected), "{name}: value stable");
         // Re-optimization never grows the program.
@@ -199,7 +200,7 @@ fn facade_quickstart_path() {
            in go 100 0;",
     )
     .unwrap();
-    let opt = optimize(
+    let (opt, _) = optimize_with_report(
         &p.expr,
         &p.data_env,
         &mut p.supply,

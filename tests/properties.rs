@@ -19,7 +19,7 @@
 use fj_testkit::{build_closed, differential, runner, Config};
 use system_fj::ast::{alpha_eq, alpha_fingerprint, freshen};
 use system_fj::check::lint;
-use system_fj::core::{erase, optimize, simplify, OptConfig, SimplOpts};
+use system_fj::core::{erase, optimize_with_report, simplify, OptConfig, SimplOpts};
 use system_fj::eval::{run_int, EvalMode};
 
 const FUEL: u64 = 5_000_000;
@@ -67,8 +67,9 @@ fn optimizer_is_observationally_sound() {
         let (mut d, e) = build_closed(g);
         let reference = run_int(&e, EvalMode::CallByName, FUEL).map_err(|e| e.to_string())?;
         for cfg in [OptConfig::baseline(), OptConfig::join_points()] {
-            let out = optimize(&e, &d.data_env, &mut d.supply, &cfg.with_lint(true))
-                .map_err(|err| format!("optimize: {err}\n{e}"))?;
+            let (out, _) =
+                optimize_with_report(&e, &d.data_env, &mut d.supply, &cfg.with_lint(true))
+                    .map_err(|err| format!("optimize: {err}\n{e}"))?;
             let got = run_int(&out, EvalMode::CallByName, FUEL).map_err(|e| e.to_string())?;
             if got != reference {
                 return Err(format!(
@@ -117,8 +118,9 @@ fn erasure_is_sound() {
     runner::check_with(cfg(), "erasure is sound", |g| {
         let (mut d, e) = build_closed(g);
         let reference = run_int(&e, EvalMode::CallByName, FUEL).map_err(|e| e.to_string())?;
-        let joined = optimize(&e, &d.data_env, &mut d.supply, &OptConfig::join_points())
-            .map_err(|err| format!("optimize: {err}"))?;
+        let (joined, _) =
+            optimize_with_report(&e, &d.data_env, &mut d.supply, &OptConfig::join_points())
+                .map_err(|err| format!("optimize: {err}"))?;
         let erased = erase(&joined, &d.data_env, &mut d.supply)
             .map_err(|err| format!("erase: {err}\n{joined}"))?;
         if erased.has_join_or_jump() {

@@ -28,8 +28,8 @@
 //! way, so a run of one of them that changes nothing allocates nothing.
 //! The simplifier still rebuilds every node it visits. `Arc` rather than
 //! `Rc` because terms cross threads: the compile service's batch
-//! `compile` fans whole pipelines out over `par_map`, and its worker pool
-//! shares cached terms.
+//! `compile` fans whole pipelines out over `par_map`, and its connection
+//! threads share cached terms.
 //!
 //! [`Expr::map_children`] visits children in evaluation order: function
 //! before argument, scrutinee before alternatives, right-hand sides

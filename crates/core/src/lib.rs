@@ -85,7 +85,7 @@ pub use erase::{erase, is_commuting_normal};
 pub use float_in::{float_in, float_in_counting};
 pub use float_out::{float_out, float_out_counting};
 pub use guard::{panic_message, quiet_panics, PassCtx, PassResult, PassTap, RollbackReason};
-pub use par::{par_map, BoundedQueue};
+pub use par::par_map;
 pub use pipeline::{apply_pass, optimize_with_report, OptConfig, Pass, Recovery};
 pub use simplify::{simplify, simplify_once, SimplOpts};
 pub use stats::{Census, PassOutcome, PassStats, PipelineReport, RewriteStats};

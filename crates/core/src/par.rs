@@ -1,5 +1,4 @@
-//! Dependency-free parallel machinery: the `par_map` work queue and the
-//! `BoundedQueue` under `fj serve`'s worker pool.
+//! Dependency-free parallel machinery: the `par_map` work queue.
 //!
 //! `par_map` backs the compile service's batch `compile` (one served
 //! compile per program) and the fuzz farm (one generated case per job).
@@ -9,101 +8,9 @@
 //! needed. The workspace builds offline, so this stands in for a rayon
 //! `par_iter`: the same work-stealing effect, none of the registry.
 
-use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
-
-/// A bounded multi-producer / multi-consumer FIFO queue with
-/// *non-blocking* admission: [`try_push`](BoundedQueue::try_push) never
-/// waits — a full queue rejects the item so the producer can shed load
-/// instead of queueing without limit. Consumers block in
-/// [`pop`](BoundedQueue::pop) until an item arrives or the queue is
-/// [`close`](BoundedQueue::close)d *and* drained, which is exactly the
-/// drain protocol a graceful shutdown wants: admission stops, in-flight
-/// work finishes.
-///
-/// This is the admission-control primitive under `fj serve`'s worker
-/// pool; it lives here next to [`par_map`] because it is the same kind
-/// of dependency-free parallel machinery.
-pub struct BoundedQueue<T> {
-    inner: Mutex<QueueInner<T>>,
-    ready: Condvar,
-    cap: usize,
-}
-
-struct QueueInner<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-impl<T> BoundedQueue<T> {
-    /// A queue admitting at most `cap` queued items (minimum 1).
-    pub fn new(cap: usize) -> BoundedQueue<T> {
-        BoundedQueue {
-            inner: Mutex::new(QueueInner {
-                items: VecDeque::new(),
-                closed: false,
-            }),
-            ready: Condvar::new(),
-            cap: cap.max(1),
-        }
-    }
-
-    /// Admit `item`, or hand it back when the queue is full or closed.
-    /// Never blocks: rejection is the backpressure signal.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err(item)` so the caller can shed it with context.
-    pub fn try_push(&self, item: T) -> Result<(), T> {
-        let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        if inner.closed || inner.items.len() >= self.cap {
-            return Err(item);
-        }
-        inner.items.push_back(item);
-        drop(inner);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    /// Block until an item is available and take it. Returns `None` once
-    /// the queue is closed *and* every queued item has been consumed —
-    /// consumers drain in-flight work before exiting.
-    pub fn pop(&self) -> Option<T> {
-        let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            if let Some(item) = inner.items.pop_front() {
-                return Some(item);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self.ready.wait(inner).unwrap_or_else(|p| p.into_inner());
-        }
-    }
-
-    /// How many items are queued right now (racy, for stats/heuristics).
-    pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .items
-            .len()
-    }
-
-    /// Is the queue empty right now (racy, for drain polling)?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Stop admitting new items and wake every blocked consumer. Queued
-    /// items remain poppable; `pop` returns `None` only once they drain.
-    pub fn close(&self) {
-        self.inner.lock().unwrap_or_else(|p| p.into_inner()).closed = true;
-        self.ready.notify_all();
-    }
-}
+use std::sync::Mutex;
 
 /// Map `f` over `items` on a scoped thread pool, preserving order.
 ///
@@ -239,74 +146,6 @@ mod tests {
             "poison flag ignored: {ran} of {} jobs still ran after the panic",
             JOBS - 1
         );
-    }
-
-    #[test]
-    fn bounded_queue_sheds_when_full_and_drains_on_close() {
-        let q = BoundedQueue::new(2);
-        assert!(q.try_push(1).is_ok());
-        assert!(q.try_push(2).is_ok());
-        // Full: admission is refused, the item comes back.
-        assert_eq!(q.try_push(3), Err(3));
-        assert_eq!(q.len(), 2);
-        q.close();
-        // Closed: refused even though consuming would make room.
-        assert_eq!(q.try_push(4), Err(4));
-        // Queued work still drains, in FIFO order, then `None`.
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), None);
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn bounded_queue_close_wakes_blocked_consumers() {
-        let q = std::sync::Arc::new(BoundedQueue::<usize>::new(4));
-        let consumer = {
-            let q = q.clone();
-            std::thread::spawn(move || q.pop())
-        };
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        q.close();
-        assert_eq!(
-            consumer.join().expect("consumer must not panic"),
-            None,
-            "a blocked pop must observe close"
-        );
-    }
-
-    #[test]
-    fn bounded_queue_moves_items_across_threads() {
-        let q = std::sync::Arc::new(BoundedQueue::<usize>::new(8));
-        let consumer = {
-            let q = q.clone();
-            std::thread::spawn(move || {
-                let mut got = Vec::new();
-                while let Some(x) = q.pop() {
-                    got.push(x);
-                }
-                got
-            })
-        };
-        let mut pushed = 0usize;
-        for i in 0..100 {
-            // Shed-and-retry producer: the consumer guarantees progress.
-            let mut item = i;
-            loop {
-                match q.try_push(item) {
-                    Ok(()) => break,
-                    Err(back) => {
-                        item = back;
-                        std::thread::yield_now();
-                    }
-                }
-            }
-            pushed += 1;
-        }
-        q.close();
-        let got = consumer.join().unwrap();
-        assert_eq!(got.len(), pushed);
-        assert!(got.windows(2).all(|w| w[0] < w[1]), "FIFO order violated");
     }
 
     /// The panic payload that reaches the caller is the injected one, not

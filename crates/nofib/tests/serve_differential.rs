@@ -15,11 +15,11 @@ use fj_core::{optimize_with_report, OptConfig};
 use fj_eval::EvalMode;
 use fj_nofib::{programs, FUEL, VM_FUEL};
 use fj_server::json::{self, Value};
-use fj_server::{CacheDisposition, CompileOpts, ServerState};
+use fj_server::{CacheDisposition, CompileOpts, Preset, ServerState};
 
 fn opts_for(preset: &str) -> CompileOpts {
     CompileOpts {
-        preset: preset.to_string(),
+        preset: Preset::parse(preset).expect("a known preset"),
         ..CompileOpts::default()
     }
 }

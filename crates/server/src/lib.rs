@@ -32,11 +32,12 @@
 //! | `stats`    | —                                                                 |
 //! | `shutdown` | —                                                                 |
 //!
-//! `preset` is `"join-points"` (default), `"baseline"`, or `"none"`;
-//! `cache` is `"use"` (default) or `"bypass"`. A batch `compile` with
-//! `"programs"` fans the batch out over [`fj_core::par_map`] (scoped
-//! threads of its own, not the service's worker pool) and responds with
-//! one result per program, in order.
+//! `preset` is `"join-points"` (default), `"baseline"`, or `"none"`
+//! ([`Preset`]); `cache` is `"use"` (default) or `"bypass"`. A batch
+//! `compile` with `"programs"` fans the batch out over
+//! [`fj_core::par_map`] (scoped threads of its own, inside the one
+//! request slot the batch holds) and responds with one result per
+//! program, in order.
 //!
 //! Errors are never transport failures: the response is
 //! `{"ok": false, "error": {"tag": …, "code": …, "message": …}}` where
@@ -49,18 +50,20 @@
 //! `overloaded` (code 6) when admission control sheds a request or
 //! connection — the error object carries a `retry_after_ms` hint — and
 //! `internal` (code 7) when a request handler panicked and was isolated
-//! by the crash-only worker pool.
+//! by the crash-only request handling.
 //!
 //! ## Execution model & overload policy
 //!
-//! The daemon runs a **bounded worker pool** fed by a **bounded queue**
-//! ([`service`]): a fixed number of workers handle requests, a
+//! The daemon runs each request on the thread of the connection that
+//! sent it, behind a **request gate** ([`service`]): a fixed number of
+//! requests run at once and a bounded number wait for a slot, a
 //! connection cap bounds admitted sockets, a max frame length is
-//! enforced *while reading*, idle connections are disconnected, and
-//! `shutdown` drains in-flight work under a deadline. When any bound is
-//! hit the server *sheds* — answers `overloaded` — instead of queueing
-//! without limit. See `ServeConfig` for the knobs and DESIGN.md
-//! ("Service robustness & overload policy") for the rationale.
+//! enforced *while reading*, a connection that does not complete a frame
+//! in time is disconnected, and `shutdown` drains in-flight work under a
+//! deadline. When any bound is hit the server *sheds* — answers
+//! `overloaded` — instead of queueing without limit. See `ServeConfig`
+//! for the knobs and DESIGN.md ("Service robustness & overload policy")
+//! for the rationale.
 
 #![warn(missing_docs)]
 
@@ -105,15 +108,17 @@ pub enum ServeError {
     /// The program failed at runtime (`run` op), or an I/O error in the
     /// CLI.
     Runtime(String),
-    /// Admission control shed this request or connection: the worker
-    /// queue or connection cap is full. Carries a client back-off hint.
+    /// Admission control shed this request or connection: every request
+    /// slot and waiting place is taken, or the connection cap is
+    /// reached. Carries a client back-off hint.
     Overloaded {
         /// What was shed (request vs connection) and why.
         message: String,
         /// Suggested client back-off before retrying, in milliseconds.
         retry_after_ms: u64,
     },
-    /// The request handler panicked; the crash-only worker isolated it.
+    /// The request handler panicked; crash-only request handling
+    /// isolated it.
     Internal(String),
 }
 
@@ -330,11 +335,50 @@ pub struct Compiled {
     pub supply: NameSupply,
 }
 
+/// An optimizer pipeline preset. [`Preset::name`] is the one table of
+/// its wire names.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Preset {
+    /// `join-points`: the paper's pipeline, the default.
+    #[default]
+    JoinPoints,
+    /// `baseline`: the join-blind pipeline.
+    Baseline,
+    /// `none`: no optimizer passes.
+    None,
+}
+
+impl Preset {
+    const ALL: [Preset; 3] = [Preset::JoinPoints, Preset::Baseline, Preset::None];
+
+    /// The preset's name on the wire.
+    pub fn name(self) -> &'static str {
+        match self {
+            Preset::JoinPoints => "join-points",
+            Preset::Baseline => "baseline",
+            Preset::None => "none",
+        }
+    }
+
+    /// The preset a wire name denotes; `None` for an unknown name.
+    pub fn parse(name: &str) -> Option<Preset> {
+        Preset::ALL.into_iter().find(|p| p.name() == name)
+    }
+
+    fn config(self) -> OptConfig {
+        match self {
+            Preset::JoinPoints => OptConfig::join_points(),
+            Preset::Baseline => OptConfig::baseline(),
+            Preset::None => OptConfig::none(),
+        }
+    }
+}
+
 /// Per-request compile options, decoded from the request object.
 #[derive(Clone, Debug)]
 pub struct CompileOpts {
-    /// Pipeline preset name: `join-points`, `baseline`, or `none`.
-    pub preset: String,
+    /// The pipeline preset.
+    pub preset: Preset,
     /// Roll back failing passes instead of failing the request
     /// ([`Recovery::RollBack`]).
     pub resilient: bool,
@@ -350,7 +394,7 @@ pub struct CompileOpts {
 impl Default for CompileOpts {
     fn default() -> Self {
         CompileOpts {
-            preset: "join-points".to_string(),
+            preset: Preset::JoinPoints,
             resilient: false,
             deadline: None,
             max_growth: None,
@@ -363,10 +407,11 @@ impl CompileOpts {
     fn from_request(req: &Value) -> Result<CompileOpts, ServeError> {
         let mut opts = CompileOpts::default();
         if let Some(p) = req.get("preset") {
-            opts.preset = p
+            let name = p
                 .as_str()
-                .ok_or_else(|| ServeError::Proto("`preset` must be a string".to_string()))?
-                .to_string();
+                .ok_or_else(|| ServeError::Proto("`preset` must be a string".to_string()))?;
+            opts.preset = Preset::parse(name)
+                .ok_or_else(|| ServeError::Proto(format!("unknown preset `{name}`")))?;
         }
         if let Some(r) = req.get("resilient") {
             opts.resilient = r
@@ -398,8 +443,6 @@ impl CompileOpts {
                 ))
             }
         }
-        opts.config()
-            .ok_or_else(|| ServeError::Proto(format!("unknown preset `{}`", opts.preset)))?;
         Ok(opts)
     }
 
@@ -410,21 +453,15 @@ impl CompileOpts {
         (factor.is_finite() && factor > 0.0).then_some(factor)
     }
 
-    /// The [`OptConfig`] these options denote; `None` for an unknown
-    /// preset name.
-    pub fn config(&self) -> Option<OptConfig> {
-        let mut cfg = match self.preset.as_str() {
-            "join-points" => OptConfig::join_points(),
-            "baseline" => OptConfig::baseline(),
-            "none" => OptConfig::none(),
-            _ => return None,
-        };
+    /// The [`OptConfig`] these options denote.
+    pub fn config(&self) -> OptConfig {
+        let mut cfg = self.preset.config();
         cfg.pass_deadline = self.deadline;
         cfg.max_growth = self.max_growth;
         if self.resilient {
             cfg.recovery = Recovery::RollBack;
         }
-        Some(cfg)
+        cfg
     }
 }
 
@@ -506,8 +543,8 @@ impl ServerState {
     }
 
     /// A server with explicit cache geometry *and* service tuning
-    /// (worker pool size, queue capacity, connection cap, frame limit,
-    /// idle timeout, drain deadline).
+    /// (requests running at once, requests waiting, connection cap,
+    /// frame limit, idle timeout, drain deadline).
     pub fn with_config(shards: usize, cache_bytes: usize, config: ServeConfig) -> ServerState {
         let shards = shards.max(1);
         ServerState {
@@ -561,9 +598,9 @@ impl ServerState {
     }
 
     /// The shard lock for one source key, surviving poisoning: a
-    /// panicking request handler (isolated by the crash-only worker
-    /// pool) must degrade to an `internal` error for *that* request, not
-    /// wedge every future cache lookup behind a poisoned mutex.
+    /// panicking request handler (isolated by crash-only request
+    /// handling) must degrade to an `internal` error for *that* request,
+    /// not wedge every future cache lookup behind a poisoned mutex.
     fn lock_sources(&self, key: &SourceKey) -> MutexGuard<'_, SourceShard> {
         let mix = key.0.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(13)
             ^ key.1.rotate_left(29)
@@ -670,9 +707,7 @@ impl ServerState {
     /// [`ServeError`] mirroring the CLI's exit-code families; see the
     /// crate docs.
     pub fn compile_source(&self, source: &str, opts: &CompileOpts) -> Result<Compiled, ServeError> {
-        let cfg = opts
-            .config()
-            .ok_or_else(|| ServeError::Proto(format!("unknown preset `{}`", opts.preset)))?;
+        let cfg = opts.config();
         let resilient = cfg.recovery == Recovery::RollBack;
         let src_key = cfg
             .fingerprint()
@@ -751,7 +786,7 @@ impl ServerState {
             // Fault-injection ops for the chaos harness, dead unless the
             // server was built with `ServeConfig { chaos: true, .. }`:
             // a panic (exercises crash-only request isolation) and a
-            // sleep (fills the worker pool deterministically so tests
+            // sleep (fills the request slots deterministically so tests
             // can force the queue to shed).
             "__chaos_panic" if self.config.chaos => {
                 panic!("chaos: injected request panic")
@@ -1173,6 +1208,8 @@ def main : Int =
                 "budget",
                 5,
             ),
+            (compile_req(&[("preset", Value::str("fast"))]), "proto", 2),
+            (compile_req(&[("preset", Value::num(5))]), "proto", 2),
         ];
         for (line, tag, code) in cases {
             let (resp, _) = state.handle_line(&line);

@@ -10,7 +10,7 @@ use common::{assert_error, assert_healthy, eventually, Client, Server, PROBE};
 use fj_server::ServeConfig;
 use fj_testkit::chaos::{honest_client, run_episode, ChaosConfig, Episode};
 use fj_testkit::SplitMix64;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Fixed soak seed: failures replay exactly. Change it only on purpose.
 const SOAK_SEED: u64 = 0xF1_5E57;
@@ -215,6 +215,57 @@ fn shutdown_drains_in_flight_requests() {
     );
     let snap = state.service_snapshot();
     assert_eq!(snap.received, snap.completed + snap.failed + snap.shed);
+}
+
+/// The drain wakes a reader blocked in `read` instead of waiting out
+/// its deadline: with an idle kept-alive connection open, `shutdown` on
+/// another connection makes `serve` return well inside `drain`, and the
+/// idle client reads EOF.
+#[test]
+fn shutdown_wakes_an_idle_kept_alive_connection() {
+    let drain = Duration::from_secs(10);
+    let server = Server::spawn(ServeConfig {
+        idle_timeout: Duration::from_secs(30),
+        drain,
+        ..ServeConfig::default()
+    });
+    let mut idle = Client::connect(server.addr).unwrap();
+    let resp = idle.roundtrip(PROBE).unwrap();
+    assert!(resp.starts_with("{\"ok\": true"), "got: {resp}");
+
+    let started = Instant::now();
+    assert!(server.shutdown(), "serve must exit cleanly");
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "shutdown took {took:?} with an idle connection open (drain {drain:?})"
+    );
+    assert_eq!(
+        idle.recv().unwrap(),
+        None,
+        "the idle connection must be closed by the drain"
+    );
+}
+
+/// The wake-up connection that `shutdown` makes is checked before the
+/// connection cap: with the only slot held by the connection that sent
+/// `shutdown`, it must still stop `serve` rather than be shed.
+#[test]
+fn shutdown_at_the_connection_cap_still_stops_serve() {
+    let server = Server::spawn(ServeConfig {
+        max_conns: 1,
+        ..ServeConfig::default()
+    });
+    let mut only = Client::connect(server.addr).unwrap();
+    let resp = only.roundtrip("{\"op\": \"shutdown\"}").unwrap();
+    assert!(resp.contains("\"shutting_down\": true"), "got: {resp}");
+    let state = std::sync::Arc::clone(&server.state);
+    assert!(server.join(), "serve must exit cleanly");
+    assert_eq!(
+        state.service_snapshot().conns_shed,
+        0,
+        "the wake-up connection must not be shed"
+    );
 }
 
 #[test]

@@ -9,7 +9,11 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// How long the serve thread may take to return after `shutdown`. A
+/// serve loop that never wakes fails the test instead of hanging it.
+const JOIN_DEADLINE: Duration = Duration::from_secs(10);
 
 /// A running server and the handle to join it after `shutdown`.
 pub struct Server {
@@ -37,27 +41,65 @@ impl Server {
 
     /// Send `shutdown` on a fresh connection and join the serve thread.
     /// Returns whether the serve loop exited cleanly.
-    pub fn shutdown(mut self) -> bool {
-        if let Ok(mut c) = Client::connect(self.addr) {
-            let _ = c.roundtrip("{\"op\": \"shutdown\"}");
-        }
-        match self.handle.take() {
-            Some(h) => h.join().map(|r| r.is_ok()).unwrap_or(false),
-            None => false,
+    pub fn shutdown(self) -> bool {
+        self.send_shutdown();
+        self.join()
+    }
+
+    /// Join the serve thread, which something else told to shut down.
+    /// Returns whether the serve loop exited cleanly; panics if it has
+    /// not returned within [`JOIN_DEADLINE`].
+    pub fn join(mut self) -> bool {
+        let handle = self.handle.take().expect("serve thread not joined yet");
+        assert!(
+            finishes_within(&handle, JOIN_DEADLINE),
+            "serve did not return within {JOIN_DEADLINE:?} of shutdown"
+        );
+        handle.join().map(|r| r.is_ok()).unwrap_or(false)
+    }
+
+    /// Send `shutdown` on a fresh connection, backing off and retrying
+    /// while the server sheds it at its connection cap: a connection the
+    /// test just closed may hold its slot until its thread reads the EOF.
+    fn send_shutdown(&self) {
+        let deadline = Instant::now() + JOIN_DEADLINE;
+        while Instant::now() < deadline {
+            let Ok(mut c) = Client::connect(self.addr) else {
+                return;
+            };
+            match c.roundtrip("{\"op\": \"shutdown\"}") {
+                Ok(resp) if resp.contains("\"tag\": \"overloaded\"") => {
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+                _ => return,
+            }
         }
     }
+}
+
+/// Wait for `handle`'s thread to finish, for at most `budget`.
+fn finishes_within<T>(handle: &JoinHandle<T>, budget: Duration) -> bool {
+    let deadline = Instant::now() + budget;
+    while !handle.is_finished() {
+        if Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    true
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
         // Belt-and-braces: a panicking test should still stop the serve
         // thread so `cargo test` does not leak listeners.
-        if self.handle.is_some() {
-            if let Ok(mut c) = Client::connect(self.addr) {
-                let _ = c.roundtrip("{\"op\": \"shutdown\"}");
-            }
-            if let Some(h) = self.handle.take() {
-                let _ = h.join();
+        if let Some(handle) = self.handle.take() {
+            self.send_shutdown();
+            let finished = finishes_within(&handle, JOIN_DEADLINE);
+            // A second panic while unwinding would abort the whole test
+            // binary; the first failure is the one to report.
+            if !finished && !std::thread::panicking() {
+                panic!("serve did not return within {JOIN_DEADLINE:?} of shutdown");
             }
         }
     }

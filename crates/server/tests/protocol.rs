@@ -6,7 +6,8 @@ mod common;
 
 use common::{assert_error, assert_healthy, eventually, Client, Server, PROBE};
 use fj_server::ServeConfig;
-use std::time::Duration;
+use std::io::ErrorKind;
+use std::time::{Duration, Instant};
 
 fn quick_cfg() -> ServeConfig {
     ServeConfig {
@@ -132,6 +133,55 @@ fn idle_connection_is_cut_off_with_a_proto_error() {
     assert_error(&resp, "proto", 2);
     assert!(resp.contains("idle timeout"), "got: {resp}");
     assert_eq!(c.recv().unwrap(), None, "connection must close after");
+    assert!(
+        eventually(Duration::from_secs(2), || {
+            server.state.service_snapshot().disc_timeout == 1
+        }),
+        "timeout disconnect must be counted"
+    );
+    assert_healthy(server.addr);
+    assert!(server.shutdown());
+}
+
+/// The idle timeout bounds the whole frame, not the silence between
+/// bytes: a client that sends a byte every 40 ms and never a newline
+/// must still be cut off after 150 ms.
+#[test]
+fn trickling_client_is_cut_off_by_the_idle_timeout() {
+    let server = Server::spawn(ServeConfig {
+        idle_timeout: Duration::from_millis(150),
+        ..quick_cfg()
+    });
+    let mut c = Client::connect(server.addr).unwrap();
+    c.writer
+        .set_read_timeout(Some(Duration::from_millis(40)))
+        .unwrap();
+    let started = Instant::now();
+    let resp = loop {
+        assert!(
+            started.elapsed() < Duration::from_secs(3),
+            "a client trickling bytes was never cut off"
+        );
+        c.send_raw(b"x").unwrap();
+        match c.recv() {
+            Ok(Some(line)) => break line,
+            Ok(None) => panic!("closed without an idle-timeout line"),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            Err(e) => panic!("read failed before the idle-timeout line: {e}"),
+        }
+    };
+    assert_error(&resp, "proto", 2);
+    assert!(resp.contains("idle timeout"), "got: {resp}");
+    c.writer
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    // A byte that lands just as the server gives up turns its close
+    // into a reset; either way the connection is gone.
+    match c.recv() {
+        Ok(None) => {}
+        Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
+        other => panic!("connection must close after, got {other:?}"),
+    }
     assert!(
         eventually(Duration::from_secs(2), || {
             server.state.service_snapshot().disc_timeout == 1

@@ -18,6 +18,21 @@ run() {
   "$@"
 }
 
+# Wait for the `fj serve` in SERVE_PID to exit after `shutdown`, for at
+# most 10 s: a server that never returns fails the gate instead of
+# hanging it.
+wait_serve() {
+  for _ in $(seq 100); do
+    if ! kill -0 "$SERVE_PID" 2>/dev/null; then
+      wait "$SERVE_PID"
+      return
+    fi
+    sleep 0.1
+  done
+  echo "verify: fj serve did not exit within 10 s of shutdown ($1)" >&2
+  exit 1
+}
+
 run cargo fmt --all --check
 
 run cargo clippy --workspace --all-targets --offline -- -D warnings
@@ -111,7 +126,7 @@ if [[ "$QUICK" -eq 0 ]]; then
   echo "$AFTER"  | grep -q '"cache": "hit"'  || { echo "verify: connection dead after garbage frame: $AFTER" >&2; exit 1; }
   echo "$STATS"  | grep -q '"service"'       || { echo "verify: stats lacks the service block: $STATS" >&2; exit 1; }
   echo "$BYE"    | grep -q '"shutting_down": true' || { echo "verify: serve shutdown failed: $BYE" >&2; exit 1; }
-  wait "$SERVE_PID"
+  wait_serve "serve smoke"
   trap - EXIT
   rm -f "$SERVE_LOG"
 
@@ -146,7 +161,7 @@ if [[ "$QUICK" -eq 0 ]]; then
     fi
     echo "$STATS" | grep -q '"disk"' || { echo "verify: stats lacks the disk block: $STATS" >&2; exit 1; }
     echo "$BYE" | grep -q '"shutting_down": true' || { echo "verify: restart-smoke shutdown failed ($ROUND): $BYE" >&2; exit 1; }
-    wait "$SERVE_PID"
+    wait_serve "$ROUND restart smoke"
     trap - EXIT
     rm -f "$SERVE_LOG"
   done

@@ -20,8 +20,8 @@
 //!                                   # fused dispatch counts
 //! fj serve --port 0                 # compile service on an ephemeral
 //!                                   # port (prints the bound address)
-//! fj serve --workers 4 --queue 32   # explicit pool geometry: requests
-//!                                   # beyond the bounded queue are shed
+//! fj serve --workers 4 --queue 32   # 4 requests run at once, 32 wait
+//!                                   # for a slot; the next one is shed
 //!                                   # with an `overloaded` error
 //! fj serve --cache-dir .fj-cache    # persistent cache tier: a restarted
 //!                                   # server is warm from request one
@@ -59,7 +59,7 @@ use std::time::Duration;
 use system_fj::core::{erase, optimize_with_report, OptConfig};
 use system_fj::eval::EvalMode;
 use system_fj::server::{
-    lower_checked, Backend, CompileOpts, FileStore, ServeConfig, ServeError, ServerState,
+    lower_checked, Backend, CompileOpts, FileStore, Preset, ServeConfig, ServeError, ServerState,
     DEFAULT_FUEL,
 };
 use system_fj::testkit::farm::FarmConfig;
@@ -105,7 +105,8 @@ fn usage() -> ExitCode {
          \x20                  (--cache-dir persists compiles across restarts;\n\
          \x20                   --cache-bytes budgets each in-memory cache layer)\n\
          \x20                  (compile service; newline-delimited JSON over TCP;\n\
-         \x20                   load beyond the bounded queue or connection cap is\n\
+         \x20                   requests beyond --workers running and --queue\n\
+         \x20                   waiting, and connections beyond the cap, are\n\
          \x20                   shed with an `overloaded` error, code 6)\n\
          \x20      fj fuzz [--seed N] [--count N] [--gen-depth N] [--fuel N]\n\
          \x20              [--time-budget-ms N] [--corpus DIR] [--no-adversarial]\n\
@@ -155,11 +156,11 @@ fn parse_args() -> Result<Options, ExitCode> {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--baseline" => {
-                compile.preset = "baseline".into();
+                compile.preset = Preset::Baseline;
                 config_name = "baseline";
             }
             "-O0" => {
-                compile.preset = "none".into();
+                compile.preset = Preset::None;
                 config_name = "unoptimized";
             }
             "--metrics" => metrics = true,
@@ -282,7 +283,7 @@ fn parse_args() -> Result<Options, ExitCode> {
     } else {
         file.ok_or_else(usage)?
     };
-    let mut config = compile.config().ok_or_else(usage)?;
+    let mut config = compile.config();
     config.max_passes = max_passes;
     Ok(Options {
         command,

@@ -1,4 +1,4 @@
-//! Free-variable analyses: term variables, type variables, and join labels.
+//! Free-variable analyses: term variables and join labels.
 //!
 //! The contification analysis (paper Sec. 4) is "essentially a free-variable
 //! analysis"; these sets are its raw material, and the scoping side
@@ -20,13 +20,6 @@ pub fn free_vars(e: &Expr) -> HashSet<Name> {
 pub fn free_labels(e: &Expr) -> HashSet<Name> {
     let mut out = HashSet::new();
     labels_into(e, &mut HashSet::new(), &mut out);
-    out
-}
-
-/// Free *type* variables of an expression (from types embedded in it).
-pub fn free_ty_vars(e: &Expr) -> HashSet<Name> {
-    let mut out = HashSet::new();
-    ty_vars_into(e, &mut Vec::new(), &mut out);
     out
 }
 
@@ -261,84 +254,6 @@ fn labels_into(e: &Expr, bound: &mut HashSet<Name>, out: &mut HashSet<Name>) {
     }
 }
 
-fn ty_vars_into(e: &Expr, bound: &mut Vec<Name>, out: &mut HashSet<Name>) {
-    let add_ty = |t: &crate::ty::Type, bound: &mut Vec<Name>, out: &mut HashSet<Name>| {
-        let mut fv = Vec::new();
-        t.free_vars_into(bound, &mut fv);
-        out.extend(fv);
-    };
-    match e {
-        Expr::Var(_) | Expr::Lit(_) => {}
-        Expr::Prim(_, args) => {
-            for a in args {
-                ty_vars_into(a, bound, out);
-            }
-        }
-        Expr::Lam(b, body) => {
-            add_ty(&b.ty, bound, out);
-            ty_vars_into(body, bound, out);
-        }
-        Expr::TyLam(a, body) => {
-            bound.push(a.clone());
-            ty_vars_into(body, bound, out);
-            bound.pop();
-        }
-        Expr::App(f, a) => {
-            ty_vars_into(f, bound, out);
-            ty_vars_into(a, bound, out);
-        }
-        Expr::TyApp(f, t) => {
-            ty_vars_into(f, bound, out);
-            add_ty(t, bound, out);
-        }
-        Expr::Con(_, tys, args) => {
-            for t in tys {
-                add_ty(t, bound, out);
-            }
-            for a in args {
-                ty_vars_into(a, bound, out);
-            }
-        }
-        Expr::Case(s, alts) => {
-            ty_vars_into(s, bound, out);
-            for alt in alts {
-                for b in &alt.binders {
-                    add_ty(&b.ty, bound, out);
-                }
-                ty_vars_into(&alt.rhs, bound, out);
-            }
-        }
-        Expr::Let(bind, body) => {
-            for (b, rhs) in bind.pairs() {
-                add_ty(&b.ty, bound, out);
-                ty_vars_into(rhs, bound, out);
-            }
-            ty_vars_into(body, bound, out);
-        }
-        Expr::Join(jb, body) => {
-            for d in jb.defs() {
-                let n = d.ty_params.len();
-                bound.extend(d.ty_params.iter().cloned());
-                for p in &d.params {
-                    add_ty(&p.ty, bound, out);
-                }
-                ty_vars_into(&d.body, bound, out);
-                bound.truncate(bound.len() - n);
-            }
-            ty_vars_into(body, bound, out);
-        }
-        Expr::Jump(_, tys, args, res) => {
-            for t in tys {
-                add_ty(t, bound, out);
-            }
-            for a in args {
-                ty_vars_into(a, bound, out);
-            }
-            add_ty(res, bound, out);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -443,24 +358,6 @@ mod tests {
             Expr::jump(&j, vec![], vec![], Type::Int),
         );
         assert!(free_labels(&e).is_empty());
-    }
-
-    #[test]
-    fn ty_vars_under_tylam() {
-        let mut s = NameSupply::new();
-        let a = s.fresh("a");
-        let b = s.fresh("b");
-        let x = s.fresh("x");
-        let e = Expr::ty_lam(
-            a.clone(),
-            Expr::lam(
-                Binder::new(x, Type::fun(Type::Var(a.clone()), Type::Var(b.clone()))),
-                Expr::Lit(0),
-            ),
-        );
-        let fv = free_ty_vars(&e);
-        assert!(!fv.contains(&a));
-        assert!(fv.contains(&b));
     }
 
     #[test]

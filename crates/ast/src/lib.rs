@@ -56,7 +56,7 @@ pub use data_env::{DataCon, DataEnv, DataEnvError, DataType};
 pub use expr::{
     Alt, AltCon, Binder, Expr, JoinBind, JoinDef, LetBind, PrimOp, PrimResult, SpineArg,
 };
-pub use fv::{free_labels, free_ty_vars, free_vars, mentions_any, mentions_label, occurs_free};
+pub use fv::{free_labels, free_vars, mentions_any, mentions_label, occurs_free};
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use name::{Ident, Name, NameSupply, FIRST_PROGRAM_ID};
 pub use pretty::pretty;

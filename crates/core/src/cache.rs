@@ -1,5 +1,6 @@
-//! A sharded, content-addressed optimization cache with a byte-budgeted
-//! LRU policy, per-key single-flight, and an optional persistent tier.
+//! The one in-memory compile cache: sharded, content-addressed, holding
+//! α-class and source-text entries under one byte-budgeted LRU policy,
+//! with per-key single-flight and an optional persistent tier.
 //!
 //! `fj serve` compiles the same programs over and over (editors re-check
 //! on every keystroke; CI re-runs whole suites), and the optimizer is a
@@ -29,15 +30,31 @@
 //! insert **replaces** the resident entry — last writer wins — so no
 //! program can be starved of caching by an unlucky fingerprint.
 //!
+//! ## Two entry kinds
+//!
+//! Each shard's map holds two kinds of entry. An **α-class entry** is the
+//! one keyed above and verified by `alpha_eq`; [`optimize_cached`] reads
+//! and writes it. A **source-text entry** memoizes a whole compile of one
+//! exact source text ([`OptCache::lookup_source`],
+//! [`OptCache::insert_source`]): its key hashes the text in place of the
+//! term, a hit is verified by comparing the stored text byte for byte,
+//! and it carries the program's [`DataEnv`], so a byte-identical
+//! recompile skips the frontend as well as the pipeline. Source-text
+//! entries follow the same key rules (a tapped configuration gets no
+//! entry, the mode bit comes from [`OptConfig::recovery`], a deadline
+//! rollback is never kept) but never join single-flight and never go to
+//! the persistent tier.
+//!
 //! ## Eviction: byte-budgeted LRU
 //!
-//! Entries are charged by measured size (the pipeline's censuses already
-//! count every node of both terms), each shard owns an equal slice of the
+//! Entries of both kinds are charged by measured size (the pipeline's
+//! censuses already count every node of both terms; a source-text entry
+//! adds its text's length), each shard owns an equal slice of the
 //! [`OptCache`] byte budget, and the budget is a hard bound: an insert
-//! evicts least-recently-used entries until the new entry fits, and an
-//! entry larger than a whole shard's slice is not cached at all. A hit
-//! refreshes the entry's LRU stamp (one counter bump under the shard lock
-//! it already holds).
+//! evicts least-recently-used entries, of either kind, until the new
+//! entry fits, and an entry larger than a whole shard's slice is not
+//! cached at all. A hit refreshes the entry's LRU stamp (one counter bump
+//! under the shard lock it already holds).
 //!
 //! ## Single-flight misses
 //!
@@ -84,6 +101,7 @@ use crate::pipeline::{optimize_with_report, OptConfig, Recovery};
 use crate::stats::{Census, PipelineReport};
 use crate::OptError;
 use fj_ast::{alpha_eq, alpha_fingerprint, DataEnv, Expr, FxHashMap, NameSupply};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -119,11 +137,39 @@ pub struct CacheKey {
     pub resilient: bool,
 }
 
-/// One memoized pipeline run.
+/// A map slot: the entry kind and its key. The kind is part of the slot,
+/// so the two kinds never displace each other.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+enum Slot {
+    /// An α-class entry.
+    Term(CacheKey),
+    /// A source-text entry. `term` hashes the text and `env` is 0: the
+    /// text determines its datatype environment.
+    Source(CacheKey),
+}
+
+impl Slot {
+    fn key(&self) -> &CacheKey {
+        match self {
+            Slot::Term(key) | Slot::Source(key) => key,
+        }
+    }
+}
+
+/// The exact input an entry was built from, kept to verify hits (64-bit
+/// fingerprints and text hashes can collide).
+enum Input {
+    /// An α-class entry's input term, checked with a real [`alpha_eq`]
+    /// walk.
+    Term(Arc<Expr>),
+    /// A source-text entry's text, checked byte for byte, and the
+    /// program's datatype environment, handed back on a hit.
+    Source(Box<str>, Arc<DataEnv>),
+}
+
+/// One memoized compile.
 struct CacheEntry {
-    /// The exact input term the entry was built from, kept to verify hits
-    /// with a real [`alpha_eq`] walk (64-bit fingerprints can collide).
-    input: Arc<Expr>,
+    input: Input,
     /// The optimized output.
     term: Arc<Expr>,
     /// The pipeline report of the run that produced `term`.
@@ -131,11 +177,17 @@ struct CacheEntry {
     /// High-water mark of the producing name supply; adopters advance
     /// past it so their fresh names cannot collide with names in `term`.
     supply_high: u64,
-    /// Budget charge (measured node counts × [`NODE_BYTES`]).
+    /// Budget charge ([`entry_cost`], plus the text's length for a
+    /// source-text entry).
     bytes: usize,
     /// LRU stamp: the cache clock value at the last hit or insert.
     stamp: u64,
 }
+
+/// A source-text hit ([`OptCache::lookup_source`]): the optimized term,
+/// the report of the run that produced it, the program's datatype
+/// environment, and a name supply past every name in the term.
+pub type SourceHit = (Arc<Expr>, Arc<PipelineReport>, Arc<DataEnv>, NameSupply);
 
 /// A successfully decoded persisted entry, pending verification.
 pub struct StoredEntry {
@@ -201,10 +253,11 @@ impl Flight {
     }
 }
 
-/// One shard: a byte-bounded LRU map plus the in-flight table.
+/// One shard: a byte-bounded LRU map of both entry kinds plus the
+/// in-flight table.
 #[derive(Default)]
 struct Shard {
-    map: FxHashMap<CacheKey, CacheEntry>,
+    map: FxHashMap<Slot, CacheEntry>,
     /// Sum of `bytes` over resident entries; never exceeds the shard's
     /// slice of the budget.
     bytes: usize,
@@ -245,13 +298,20 @@ pub struct CacheStats {
     /// Lookups that adopted a concurrent leader's result instead of
     /// running their own pipeline (single-flight; zero passes run).
     pub coalesced: u64,
-    /// Entries displaced by the byte budget.
+    /// Source-text lookups served by a byte-identical entry (no frontend,
+    /// zero passes run).
+    pub source_hits: u64,
+    /// Entries of either kind displaced by the byte budget.
     pub evictions: u64,
-    /// Entries currently resident, summed over shards.
+    /// α-class entries currently resident, summed over shards.
     pub entries: usize,
-    /// Bytes currently charged against the budget, summed over shards.
+    /// Bytes the α-class entries charge against the budget.
     pub bytes: usize,
-    /// Total byte budget.
+    /// Source-text entries currently resident, summed over shards.
+    pub source_entries: usize,
+    /// Bytes the source-text entries charge against the budget.
+    pub source_bytes: usize,
+    /// Total byte budget, shared by both entry kinds.
     pub budget: usize,
     /// Number of shards.
     pub shards: usize,
@@ -284,6 +344,7 @@ pub struct OptCache {
     misses: AtomicU64,
     bypasses: AtomicU64,
     coalesced: AtomicU64,
+    source_hits: AtomicU64,
     evictions: AtomicU64,
     disk_loads: AtomicU64,
     disk_hits: AtomicU64,
@@ -291,8 +352,8 @@ pub struct OptCache {
     disk_verify_failures: AtomicU64,
     disk_writes: AtomicU64,
     disk_write_failures: AtomicU64,
-    /// Test hook: collapse every term fingerprint to one value so key
-    /// collisions become constructible.
+    /// Test hook: collapse every term fingerprint and text hash to one
+    /// value so key collisions become constructible.
     #[cfg(test)]
     collide_keys: bool,
 }
@@ -312,6 +373,7 @@ impl OptCache {
             misses: AtomicU64::new(0),
             bypasses: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
+            source_hits: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             disk_loads: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
@@ -348,32 +410,37 @@ impl OptCache {
         &self.shards[(mix as usize) % self.shards.len()]
     }
 
-    fn term_fingerprint(&self, e: &Expr) -> u64 {
+    /// The key component a term fingerprint or text hash becomes.
+    fn key_hash(&self, hash: u64) -> u64 {
         #[cfg(test)]
         if self.collide_keys {
             return 0;
         }
-        alpha_fingerprint(e)
+        hash
+    }
+
+    /// The slot of `source`'s entry under `cfg`; `None` for a tapped
+    /// configuration, which gets no entry.
+    fn source_slot(&self, source: &str, cfg: &OptConfig) -> Option<Slot> {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        source.hash(&mut h);
+        Some(Slot::Source(CacheKey {
+            term: self.key_hash(h.finish()),
+            cfg: cfg.fingerprint()?,
+            env: 0,
+            resilient: cfg.recovery == Recovery::RollBack,
+        }))
     }
 
     /// Current counters and occupancy.
     pub fn stats(&self) -> CacheStats {
-        let (entries, bytes) = self
-            .shards
-            .iter()
-            .map(|s| {
-                let s = s.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                (s.map.len(), s.bytes)
-            })
-            .fold((0, 0), |(n, b), (n2, b2)| (n + n2, b + b2));
-        CacheStats {
+        let mut stats = CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             bypasses: self.bypasses.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
+            source_hits: self.source_hits.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            entries,
-            bytes,
             budget: self.shard_budget * self.shards.len(),
             shards: self.shards.len(),
             disk_loads: self.disk_loads.load(Ordering::Relaxed),
@@ -382,43 +449,123 @@ impl OptCache {
             disk_verify_failures: self.disk_verify_failures.load(Ordering::Relaxed),
             disk_writes: self.disk_writes.load(Ordering::Relaxed),
             disk_write_failures: self.disk_write_failures.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Drop every in-memory entry (counters and the persistent tier are
-    /// kept).
-    pub fn clear(&self) {
+            ..CacheStats::default()
+        };
         for shard in &self.shards {
-            let mut shard = shard
+            let shard = shard
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            shard.bytes = 0;
-            shard.map.clear();
+            for (slot, entry) in &shard.map {
+                let (n, bytes) = match slot {
+                    Slot::Term(_) => (&mut stats.entries, &mut stats.bytes),
+                    Slot::Source(_) => (&mut stats.source_entries, &mut stats.source_bytes),
+                };
+                *n += 1;
+                *bytes += entry.bytes;
+            }
         }
+        stats
     }
 
-    /// Insert (or, on a verified key collision, replace) an entry,
-    /// holding the byte budget invariant. Entries larger than a whole
-    /// shard slice are not cached.
-    fn insert(&self, key: CacheKey, entry: CacheEntry) {
-        let shard = self.shard_for(&key);
+    /// Insert (or, on a verified key collision, replace) an entry of
+    /// either kind, holding the byte budget invariant. The charge is
+    /// [`entry_cost`], plus the text's length for a source-text entry;
+    /// entries larger than a whole shard slice are not cached.
+    fn insert(
+        &self,
+        slot: Slot,
+        input: Input,
+        term: &Arc<Expr>,
+        report: &Arc<PipelineReport>,
+        supply_high: u64,
+    ) {
+        let bytes = entry_cost(report)
+            + match &input {
+                Input::Term(_) => 0,
+                Input::Source(text, _) => text.len(),
+            };
+        let shard = self.shard_for(slot.key());
         let mut guard = shard
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(old) = guard.map.remove(&key) {
-            // Same key, different (verified at lookup) term: replace.
+        if let Some(old) = guard.map.remove(&slot) {
+            // Same key, different (verified at lookup) input: replace.
             // Last writer wins, so a colliding program is never starved.
             guard.bytes -= old.bytes;
         }
-        if entry.bytes > self.shard_budget {
+        if bytes > self.shard_budget {
             return;
         }
-        let evicted = guard.make_room(entry.bytes, self.shard_budget);
+        let evicted = guard.make_room(bytes, self.shard_budget);
         if evicted > 0 {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
         }
-        guard.bytes += entry.bytes;
-        guard.map.insert(key, entry);
+        guard.bytes += bytes;
+        let entry = CacheEntry {
+            input,
+            term: Arc::clone(term),
+            report: Arc::clone(report),
+            supply_high,
+            bytes,
+            stamp: self.clock.fetch_add(1, Ordering::Relaxed),
+        };
+        guard.map.insert(slot, entry);
+    }
+
+    /// Serve a byte-identical recompile: the entry
+    /// [`OptCache::insert_source`] made for exactly this `source` text
+    /// under this configuration and mode. A hit refreshes the entry's LRU
+    /// stamp. `None` on a miss and for a tapped `cfg`.
+    pub fn lookup_source(&self, source: &str, cfg: &OptConfig) -> Option<SourceHit> {
+        let slot = self.source_slot(source, cfg)?;
+        let mut guard = self
+            .shard_for(slot.key())
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let entry = guard.map.get_mut(&slot)?;
+        // A source slot only ever holds a source-text entry; the text
+        // hash can collide, so only the stored text makes the hit exact.
+        let Input::Source(text, data_env) = &entry.input else {
+            return None;
+        };
+        if **text != *source {
+            return None;
+        }
+        entry.stamp = self.clock.fetch_add(1, Ordering::Relaxed);
+        let hit = (
+            Arc::clone(&entry.term),
+            Arc::clone(&entry.report),
+            Arc::clone(data_env),
+            NameSupply::starting_at(entry.supply_high),
+        );
+        drop(guard);
+        self.source_hits.fetch_add(1, Ordering::Relaxed);
+        Some(hit)
+    }
+
+    /// Memoize a compile of `source` under `cfg` for
+    /// [`OptCache::lookup_source`]: the term and report
+    /// [`optimize_cached`] returned, the program's datatype environment,
+    /// and the high-water mark of the supply that produced them. As in
+    /// [`optimize_cached`], a tapped `cfg` gets no entry and neither does
+    /// a run that rolled a pass back for its deadline.
+    pub fn insert_source(
+        &self,
+        source: &str,
+        cfg: &OptConfig,
+        term: &Arc<Expr>,
+        report: &Arc<PipelineReport>,
+        data_env: &Arc<DataEnv>,
+        supply_high: u64,
+    ) {
+        let Some(slot) = self.source_slot(source, cfg) else {
+            return;
+        };
+        if report.hit_deadline() {
+            return;
+        }
+        let input = Input::Source(source.into(), Arc::clone(data_env));
+        self.insert(slot, input, term, report, supply_high);
     }
 }
 
@@ -554,7 +701,7 @@ pub fn optimize_cached(
         return Ok((Arc::new(out), Arc::new(report), false));
     };
     let key = CacheKey {
-        term: cache.term_fingerprint(e),
+        term: cache.key_hash(alpha_fingerprint(e)),
         cfg: cfg_fp,
         env: data_env.fingerprint(),
         resilient: cfg.recovery == Recovery::RollBack,
@@ -566,11 +713,11 @@ pub fn optimize_cached(
         let mut guard = shard
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(entry) = guard.map.get_mut(&key) {
+        if let Some(entry) = guard.map.get_mut(&Slot::Term(key)) {
             // Fingerprints can collide; only a real α-walk makes the hit
             // sound. A collision (different term, same key) falls through
             // to a pipeline run whose insert *replaces* this entry.
-            if alpha_eq(e, &entry.input) {
+            if matches!(&entry.input, Input::Term(input) if alpha_eq(e, input)) {
                 entry.stamp = cache.clock.fetch_add(1, Ordering::Relaxed);
                 let hit = (Arc::clone(&entry.term), Arc::clone(&entry.report));
                 let supply_high = entry.supply_high;
@@ -601,17 +748,8 @@ pub fn optimize_cached(
             cache.misses.fetch_add(1, Ordering::Relaxed);
             let (term, report) = (Arc::new(out), Arc::new(report));
             if !report.hit_deadline() {
-                cache.insert(
-                    key,
-                    CacheEntry {
-                        input: Arc::new(e.clone()),
-                        term: Arc::clone(&term),
-                        report: Arc::clone(&report),
-                        supply_high: supply.peek(),
-                        bytes: entry_cost(&report),
-                        stamp: cache.clock.fetch_add(1, Ordering::Relaxed),
-                    },
-                );
+                let input = Input::Term(Arc::new(e.clone()));
+                cache.insert(Slot::Term(key), input, &term, &report, supply.peek());
             }
             return Ok((term, report, false));
         }
@@ -656,17 +794,8 @@ pub fn optimize_cached(
                         wall: Duration::ZERO,
                     });
                     supply.advance_past(stored.supply_high);
-                    cache.insert(
-                        key,
-                        CacheEntry {
-                            input: Arc::new(stored.input),
-                            term: Arc::clone(&term),
-                            report: Arc::clone(&report),
-                            supply_high: stored.supply_high,
-                            bytes: entry_cost(&report),
-                            stamp: cache.clock.fetch_add(1, Ordering::Relaxed),
-                        },
-                    );
+                    let input = Input::Term(Arc::new(stored.input));
+                    cache.insert(Slot::Term(key), input, &term, &report, stored.supply_high);
                     cache.disk_hits.fetch_add(1, Ordering::Relaxed);
                     flight_guard.finish(Arc::clone(&term), Arc::clone(&report), stored.supply_high);
                     return Ok((term, report, true));
@@ -691,15 +820,11 @@ pub fn optimize_cached(
     }
     let input = Arc::new(e.clone());
     cache.insert(
-        key,
-        CacheEntry {
-            input: Arc::clone(&input),
-            term: Arc::clone(&term),
-            report: Arc::clone(&report),
-            supply_high,
-            bytes: entry_cost(&report),
-            stamp: cache.clock.fetch_add(1, Ordering::Relaxed),
-        },
+        Slot::Term(key),
+        Input::Term(Arc::clone(&input)),
+        &term,
+        &report,
+        supply_high,
     );
     flight_guard.finish(Arc::clone(&term), Arc::clone(&report), supply_high);
     // Write-behind after waiters are released: persistence is advisory
@@ -832,11 +957,19 @@ mod tests {
         let tapped = OptConfig::join_points().with_tap(PassTap::new(|_: &PassCtx, r| r));
         assert_eq!(tapped.fingerprint(), None);
         for _ in 0..2 {
-            let (_, _, hit) = optimize_cached(&e, &d.data_env, &mut s, &tapped, &cache).unwrap();
+            let (term, report, hit) =
+                optimize_cached(&e, &d.data_env, &mut s, &tapped, &cache).unwrap();
             assert!(!hit);
+            // Nor does a tapped compile get a source-text entry.
+            let env = Arc::new(d.data_env.clone());
+            cache.insert_source("tapped", &tapped, &term, &report, &env, s.peek());
+            assert!(cache.lookup_source("tapped", &tapped).is_none());
         }
         let stats = cache.stats();
-        assert_eq!((stats.bypasses, stats.entries), (2, 0));
+        assert_eq!(
+            (stats.bypasses, stats.entries, stats.source_entries),
+            (2, 0, 0)
+        );
     }
 
     /// Per-entry budget charge for this test family, measured — the
@@ -913,9 +1046,10 @@ mod tests {
 
     #[test]
     fn colliding_keys_replace_instead_of_starving() {
-        // Two different programs forced onto one key: the second compile
-        // must still get cached (replacing the first), and each program
-        // recompiles with at most one miss afterward — no starvation.
+        // Two different programs forced onto one key, once per entry
+        // kind: the second must still get cached (replacing the first),
+        // and each program recompiles with at most one miss afterward —
+        // no starvation.
         let mut cache = OptCache::with_budget(1, usize::MAX);
         cache.collide_keys = true;
         let cfg = OptConfig::none();
@@ -927,13 +1061,31 @@ mod tests {
         let (_, _, hit_b) = optimize_cached(&b, &d.data_env, &mut s, &cfg, &cache).unwrap();
         assert!(!hit_b, "colliding lookup must not serve the wrong term");
         // b replaced a: b now hits, a misses (and replaces back).
-        let (tb, _, hit_b2) = optimize_cached(&b, &d.data_env, &mut s, &cfg, &cache).unwrap();
+        let (tb, rb, hit_b2) = optimize_cached(&b, &d.data_env, &mut s, &cfg, &cache).unwrap();
         assert!(hit_b2, "collision victim must be cacheable (was starved)");
         assert!(alpha_eq(&tb, &b), "replaced entry serves the right term");
-        let (ta, _, hit_a) = optimize_cached(&a, &d.data_env, &mut s, &cfg, &cache).unwrap();
+        let (ta, ra, hit_a) = optimize_cached(&a, &d.data_env, &mut s, &cfg, &cache).unwrap();
         assert!(!hit_a);
         assert!(alpha_eq(&ta, &a));
         assert_eq!(cache.stats().entries, 1, "one key, one slot");
+
+        // Source-text entries: the text hash collides, the exact text
+        // comparison refuses the wrong entry, and the insert replaces.
+        let env = Arc::new(d.data_env.clone());
+        let (src_a, src_b) = ("def main : Int = 1 + 1;", "def main : Int = 2 + 2;");
+        cache.insert_source(src_a, &cfg, &ta, &ra, &env, s.peek());
+        assert!(
+            cache.lookup_source(src_b, &cfg).is_none(),
+            "colliding lookup must not serve the wrong text's term"
+        );
+        cache.insert_source(src_b, &cfg, &tb, &rb, &env, s.peek());
+        let (got, ..) = cache
+            .lookup_source(src_b, &cfg)
+            .expect("collision victim must be cacheable (was starved)");
+        assert!(Arc::ptr_eq(&got, &tb), "replaced entry serves B's term");
+        assert!(cache.lookup_source(src_a, &cfg).is_none());
+        let stats = cache.stats();
+        assert_eq!((stats.source_entries, stats.source_hits), (1, 1));
     }
 
     #[test]
@@ -1183,17 +1335,24 @@ mod tests {
             .with_recovery(Recovery::RollBack);
         let mut d = Dsl::new();
         let e = program(&mut d);
+        let env = Arc::new(d.data_env.clone());
         for round in 0..2 {
-            let (_, report, hit) =
+            let (term, report, hit) =
                 optimize_cached(&e, &d.data_env, &mut d.supply, &cfg, &cache).unwrap();
             assert!(report.hit_deadline(), "round {round}: {report}");
             assert!(!hit, "round {round}: a deadline-degraded result was cached");
+            cache.insert_source("degraded", &cfg, &term, &report, &env, d.supply.peek());
+            assert!(
+                cache.lookup_source("degraded", &cfg).is_none(),
+                "round {round}: a deadline-degraded result got a source-text entry"
+            );
         }
         assert_eq!(
             store.writes.load(Ordering::Relaxed),
             0,
             "degraded result persisted"
         );
-        assert_eq!(cache.stats().entries, 0);
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.source_entries), (0, 0));
     }
 }

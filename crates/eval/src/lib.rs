@@ -23,7 +23,9 @@
 mod machine;
 mod metrics;
 
-pub use machine::{run, run_int, run_with_limits, EvalMode, Machine, MachineError, Outcome, Value};
+pub use machine::{
+    is_cheap, run, run_int, run_with_limits, EvalMode, Machine, MachineError, Outcome, Value,
+};
 pub use metrics::Metrics;
 
 #[cfg(test)]

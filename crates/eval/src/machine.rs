@@ -53,6 +53,50 @@ pub enum EvalMode {
     CallByValue,
 }
 
+impl EvalMode {
+    const ALL: [EvalMode; 3] = [
+        EvalMode::CallByName,
+        EvalMode::CallByNeed,
+        EvalMode::CallByValue,
+    ];
+
+    /// The name `mode` and `--mode` take.
+    pub fn name(self) -> &'static str {
+        match self {
+            EvalMode::CallByName => "name",
+            EvalMode::CallByNeed => "need",
+            EvalMode::CallByValue => "value",
+        }
+    }
+
+    /// The mode a `mode` or `--mode` value denotes; `None` for an unknown
+    /// name.
+    pub fn parse(name: &str) -> Option<EvalMode> {
+        EvalMode::ALL.into_iter().find(|m| m.name() == name)
+    }
+
+    /// Is `e` an answer under this mode? Under call-by-value a
+    /// constructor is one only when its fields are atoms or answers. With
+    /// [`is_cheap`], this decides which values charge a `let`, `arg` or
+    /// `con` unit, on the machine and on the VM alike.
+    pub fn is_answer(self, e: &Expr) -> bool {
+        match e {
+            Expr::Lam(..) | Expr::TyLam(..) | Expr::Lit(_) => true,
+            Expr::Con(_, _, args) => {
+                self != EvalMode::CallByValue
+                    || args.iter().all(|a| self.is_answer(a) || a.is_atom())
+            }
+            _ => false,
+        }
+    }
+}
+
+/// Is an expression freely duplicable (variable, literal, nullary
+/// constructor)? Such operands are substituted inline and never charge.
+pub fn is_cheap(e: &Expr) -> bool {
+    e.is_atom() || matches!(e, Expr::Con(_, _, args) if args.is_empty())
+}
+
 /// Why a run did not produce an answer.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MachineError {
@@ -294,23 +338,6 @@ impl Machine {
         Ok(())
     }
 
-    fn is_answer(&self, e: &Expr) -> bool {
-        match e {
-            Expr::Lam(..) | Expr::TyLam(..) | Expr::Lit(_) => true,
-            Expr::Con(_, _, args) => {
-                self.mode != EvalMode::CallByValue
-                    || args.iter().all(|a| self.is_answer(a) || a.is_atom())
-            }
-            _ => false,
-        }
-    }
-
-    /// Is an expression freely duplicable (variable, literal, nullary
-    /// constructor)? Such operands are substituted inline and never charge.
-    fn is_cheap(e: &Expr) -> bool {
-        e.is_atom() || matches!(e, Expr::Con(_, _, args) if args.is_empty())
-    }
-
     /// Store one binding in the heap and charge the metrics policy:
     ///
     /// * closures (`λ`/`Λ` answers): one unit against `src`;
@@ -320,7 +347,7 @@ impl Machine {
     ///   charged when the focus built them;
     /// * anything else: a thunk, one unit against `src`.
     fn store_binding(&mut self, fresh: Name, e: Expr, src: Charge, evaluated: bool) {
-        if self.is_answer(&e) {
+        if self.mode.is_answer(&e) {
             match &e {
                 Expr::Lam(..) | Expr::TyLam(..) => self.charge(src),
                 Expr::Con(_, _, args) if !args.is_empty() && !evaluated => {
@@ -357,7 +384,7 @@ impl Machine {
         let mut renames: Vec<(Name, Expr)> = Vec::new();
         let mut binds: Vec<(Name, Expr)> = Vec::new();
         for (p, arg) in params {
-            if Self::is_cheap(&arg) {
+            if is_cheap(&arg) {
                 renames.push((p, arg));
             } else {
                 let fresh = self.supply.fresh_like(&p);
@@ -398,7 +425,7 @@ impl Machine {
         let mut focus = start;
         loop {
             self.spend()?;
-            if self.is_answer(&focus) {
+            if self.mode.is_answer(&focus) {
                 // Charge constructor allocation the first time this cell is
                 // built from program text.
                 if !self.focus_reused {
@@ -429,7 +456,7 @@ impl Machine {
             Frame::AppArg(arg) => match &*answer {
                 Expr::Lam(b, body) => {
                     if self.mode == EvalMode::CallByValue
-                        && !(arg.is_atom() || self.is_answer(&arg))
+                        && !(arg.is_atom() || self.mode.is_answer(&arg))
                     {
                         // Evaluate the argument first.
                         self.stack.push(Frame::AppFun(Rc::clone(&answer)));
@@ -628,7 +655,9 @@ impl Machine {
             }
             Expr::Jump(j, tys, args, res) => {
                 if self.mode == EvalMode::CallByValue
-                    && args.iter().any(|a| !(a.is_atom() || self.is_answer(a)))
+                    && args
+                        .iter()
+                        .any(|a| !(a.is_atom() || self.mode.is_answer(a)))
                 {
                     let mut pending: Vec<Expr> = args;
                     pending.reverse();
@@ -680,7 +709,9 @@ impl Machine {
     fn bind_let(&mut self, bind: LetBind, body: Expr) -> Result<Expr, MachineError> {
         match bind {
             LetBind::NonRec(b, rhs) => {
-                if self.mode == EvalMode::CallByValue && !(self.is_answer(&rhs) || rhs.is_atom()) {
+                if self.mode == EvalMode::CallByValue
+                    && !(self.mode.is_answer(&rhs) || rhs.is_atom())
+                {
                     self.stack.push(Frame::LetStrict(b, body));
                     Ok(Expr::unshare(rhs))
                 } else {

@@ -101,7 +101,7 @@ fn served_compiles_match_serial_and_batch_on_every_program() {
             );
         }
         assert_eq!(
-            batch_server.source_hits(),
+            batch_server.cache_stats().source_hits,
             programs().len() as u64,
             "[{preset}]: every recompile after the batch must text-hit"
         );
@@ -190,7 +190,7 @@ fn served_compiles_match_serial_and_batch_on_every_program() {
             "[{preset}]: every perturbed compile must α-hit"
         );
         assert_eq!(
-            server.source_hits(),
+            server.cache_stats().source_hits,
             n,
             "[{preset}]: every byte-identical compile must text-hit"
         );

@@ -10,15 +10,17 @@
 //! the second compile of any program is a cache hit that runs **zero
 //! optimizer passes**.
 //!
-//! Three cache tiers stack under the service: a sharded, byte-budgeted
-//! LRU **textual front cache** (a byte-identical recompile is a refcount
-//! bump), the byte-budgeted LRU **term cache** above, and an optional
+//! That cache is one sharded, byte-budgeted LRU map with two kinds of
+//! entry — **source-text entries** (a byte-identical recompile is a
+//! refcount bump) and **α-class entries** (a renamed or re-spaced
+//! program re-parses but runs zero passes) — over an optional
 //! **persistent tier** ([`persist::FileStore`], `--cache-dir`) that
-//! stores entries as unparsed source and re-lowers, α-verifies, and
-//! lints them on load — so a restarted daemon is warm from request one,
-//! and a corrupt or stale file can only cost a miss, never a wrong
-//! term. `--cache-bytes` budgets each in-memory layer; concurrent
-//! identical misses are single-flighted by the term cache.
+//! stores α-class entries as unparsed source and re-lowers, α-verifies,
+//! and lints them on load — so a restarted daemon is warm from request
+//! one, and a corrupt or stale file can only cost a miss, never a wrong
+//! term. `--cache-bytes` is one budget for both entry kinds, and
+//! evictions of either kind are counted; concurrent identical misses
+//! are single-flighted.
 //!
 //! ## Protocol
 //!
@@ -86,7 +88,7 @@ use fj_vm::VmError;
 use json::Value;
 use service::ServiceStats;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A request failure, tagged with the exit code the `fj` CLI uses for
@@ -465,68 +467,21 @@ impl CompileOpts {
     }
 }
 
-/// Key of the textual front cache: source hash, configuration
-/// fingerprint, and mode bit. The entry stores the full source for an
-/// exact-match check, so a 64-bit collision can never serve a wrong term.
-type SourceKey = (u64, u64, bool);
-
-/// One memoized `(source text, configuration)` compile.
-struct SourceEntry {
-    source: String,
-    term: Arc<Expr>,
-    report: Arc<PipelineReport>,
-    data_env: Arc<DataEnv>,
-    supply: NameSupply,
-    /// Budget charge: source bytes plus an estimate of both terms.
-    bytes: usize,
-    /// LRU stamp (the server's source clock at the last hit or insert).
-    stamp: u64,
-}
-
-/// One shard of the textual front cache: a byte-bounded LRU map.
-#[derive(Default)]
-struct SourceShard {
-    map: std::collections::HashMap<SourceKey, SourceEntry>,
-    /// Sum of `bytes` over resident entries; bounded by the per-shard
-    /// slice of the budget.
-    bytes: usize,
-}
-
-/// Per-node byte estimate when charging a source entry's retained terms
-/// against the budget (mirrors the term cache's own accounting).
-const SOURCE_NODE_BYTES: usize = 96;
-
-/// Fixed overhead charged per source entry.
-const SOURCE_ENTRY_OVERHEAD: usize = 256;
-
-fn source_hash(source: &str) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    source.hash(&mut h);
-    h.finish()
-}
-
-/// The shared state behind one `fj serve` instance: the two cache layers
+/// The shared state behind one `fj serve` instance: the compile cache
 /// and request counters. All methods take `&self`; one
 /// `Arc<ServerState>` is shared by every connection thread.
 ///
-/// Caching is two-layered. The **textual front cache** keys on the exact
-/// source bytes plus the configuration fingerprint: a byte-identical
-/// recompile skips the *entire* frontend — no lexing, no parsing, no
-/// lowering, no lint — and is genuinely a refcount bump. Behind it sits
-/// the **content-addressed [`OptCache`]**, which keys on the
+/// The one in-memory [`OptCache`] holds two kinds of entry under one
+/// byte budget. A **source-text entry** keys on the exact source bytes
+/// plus the configuration fingerprint: a byte-identical recompile skips
+/// the *entire* frontend — no lexing, no parsing, no lowering, no lint —
+/// and is genuinely a refcount bump. An **α-class entry** keys on the
 /// α-fingerprint of the *lowered term*: a program whose binders were
 /// renamed or whose whitespace moved still re-parses, but runs zero
-/// optimizer passes. Both layers serve α-equal terms by construction, so
+/// optimizer passes. Both kinds serve α-equal terms by construction, so
 /// either hit is reported as `"cache": "hit"` on the wire.
 pub struct ServerState {
     cache: OptCache,
-    sources: Vec<Mutex<SourceShard>>,
-    /// Per-shard slice of the textual layer's byte budget.
-    source_budget: usize,
-    /// Monotonic LRU clock for the textual layer.
-    source_clock: AtomicU64,
-    source_hits: AtomicU64,
     requests: AtomicU64,
     started: Instant,
     shutdown: AtomicBool,
@@ -536,8 +491,8 @@ pub struct ServerState {
 
 impl ServerState {
     /// A server whose [`OptCache`] spans `shards` shards under a
-    /// `cache_bytes` byte budget (the textual front cache gets an equal
-    /// budget of its own) and the default service geometry.
+    /// `cache_bytes` byte budget, which both entry kinds share, and the
+    /// default service geometry.
     pub fn new(shards: usize, cache_bytes: usize) -> ServerState {
         ServerState::with_config(shards, cache_bytes, ServeConfig::default())
     }
@@ -546,15 +501,8 @@ impl ServerState {
     /// (requests running at once, requests waiting, connection cap,
     /// frame limit, idle timeout, drain deadline).
     pub fn with_config(shards: usize, cache_bytes: usize, config: ServeConfig) -> ServerState {
-        let shards = shards.max(1);
         ServerState {
             cache: OptCache::with_budget(shards, cache_bytes),
-            sources: (0..shards)
-                .map(|_| Mutex::new(SourceShard::default()))
-                .collect(),
-            source_budget: cache_bytes / shards,
-            source_clock: AtomicU64::new(1),
-            source_hits: AtomicU64::new(0),
             requests: AtomicU64::new(0),
             started: Instant::now(),
             shutdown: AtomicBool::new(false),
@@ -597,106 +545,14 @@ impl ServerState {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// The shard lock for one source key, surviving poisoning: a
-    /// panicking request handler (isolated by crash-only request
-    /// handling) must degrade to an `internal` error for *that* request,
-    /// not wedge every future cache lookup behind a poisoned mutex.
-    fn lock_sources(&self, key: &SourceKey) -> MutexGuard<'_, SourceShard> {
-        let mix = key.0.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(13)
-            ^ key.1.rotate_left(29)
-            ^ u64::from(key.2);
-        self.sources[(mix as usize) % self.sources.len()]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Cache counters (hits, misses, evictions, occupancy) for the
-    /// content-addressed term cache.
+    /// Cache counters (hits, misses, evictions, occupancy) for both
+    /// entry kinds.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
 
-    /// How many requests were served by the textual front cache.
-    pub fn source_hits(&self) -> u64 {
-        self.source_hits.load(Ordering::Relaxed)
-    }
-
-    fn source_lookup(&self, key: SourceKey, source: &str) -> Option<Compiled> {
-        let mut shard = self.lock_sources(&key);
-        let entry = shard.map.get_mut(&key)?;
-        // The hash key can collide; the stored text makes the hit exact.
-        if entry.source != source {
-            return None;
-        }
-        entry.stamp = self.source_clock.fetch_add(1, Ordering::Relaxed);
-        Some(Compiled {
-            term: Arc::clone(&entry.term),
-            report: Arc::clone(&entry.report),
-            cache: CacheDisposition::Hit,
-            data_env: Arc::clone(&entry.data_env),
-            supply: entry.supply.clone(),
-        })
-    }
-
-    fn source_insert(&self, key: SourceKey, source: &str, compiled: &Compiled) {
-        let cost = source.len()
-            + (compiled.report.census_before.size + compiled.report.census_after.size)
-                * SOURCE_NODE_BYTES
-            + SOURCE_ENTRY_OVERHEAD;
-        if cost > self.source_budget {
-            return;
-        }
-        let mut shard = self.lock_sources(&key);
-        // This insert only runs after a full compile, i.e. after
-        // `source_lookup` declined — either the key is vacant or it holds
-        // a *different* source that hashed onto it. Replacing (rather
-        // than keeping the incumbent) means a collision can never starve
-        // a program of caching: last writer wins.
-        if let Some(old) = shard.map.remove(&key) {
-            shard.bytes -= old.bytes;
-        }
-        // Byte-budgeted LRU, matching the term cache's policy.
-        while shard.bytes + cost > self.source_budget && !shard.map.is_empty() {
-            if let Some(oldest) = shard
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| *k)
-            {
-                if let Some(e) = shard.map.remove(&oldest) {
-                    shard.bytes -= e.bytes;
-                }
-            }
-        }
-        shard.bytes += cost;
-        shard.map.insert(
-            key,
-            SourceEntry {
-                source: source.to_string(),
-                term: Arc::clone(&compiled.term),
-                report: Arc::clone(&compiled.report),
-                data_env: Arc::clone(&compiled.data_env),
-                supply: compiled.supply.clone(),
-                bytes: cost,
-                stamp: self.source_clock.fetch_add(1, Ordering::Relaxed),
-            },
-        );
-    }
-
-    /// Occupancy of the textual front cache: `(entries, bytes)` summed
-    /// over shards.
-    pub fn source_occupancy(&self) -> (usize, usize) {
-        self.sources
-            .iter()
-            .map(|s| {
-                let s = s.lock().unwrap_or_else(PoisonError::into_inner);
-                (s.map.len(), s.bytes)
-            })
-            .fold((0, 0), |(n, b), (n2, b2)| (n + n2, b + b2))
-    }
-
-    /// Frontend + optimizer for one source program, through both cache
-    /// layers.
+    /// Frontend + optimizer for one source program, through both entry
+    /// kinds of the cache.
     ///
     /// This is the library face of the `compile` op: the differential
     /// suites call it directly so they can compare *terms*, not wire
@@ -708,16 +564,15 @@ impl ServerState {
     /// crate docs.
     pub fn compile_source(&self, source: &str, opts: &CompileOpts) -> Result<Compiled, ServeError> {
         let cfg = opts.config();
-        let resilient = cfg.recovery == Recovery::RollBack;
-        let src_key = cfg
-            .fingerprint()
-            .map(|cfg_fp| (source_hash(source), cfg_fp, resilient));
         if opts.use_cache {
-            if let Some(key) = src_key {
-                if let Some(compiled) = self.source_lookup(key, source) {
-                    self.source_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(compiled);
-                }
+            if let Some((term, report, data_env, supply)) = self.cache.lookup_source(source, &cfg) {
+                return Ok(Compiled {
+                    term,
+                    report,
+                    cache: CacheDisposition::Hit,
+                    data_env,
+                    supply,
+                });
             }
         }
         let mut lowered;
@@ -751,11 +606,15 @@ impl ServerState {
             data_env: Arc::new(lowered.data_env),
             supply: lowered.supply,
         };
-        // A deadline rollback depends on timing, so it is never memoized.
-        if opts.use_cache && !compiled.report.hit_deadline() {
-            if let Some(key) = src_key {
-                self.source_insert(key, source, &compiled);
-            }
+        if opts.use_cache {
+            self.cache.insert_source(
+                source,
+                &cfg,
+                &compiled.term,
+                &compiled.report,
+                &compiled.data_env,
+                compiled.supply.peek(),
+            );
         }
         Ok(compiled)
     }
@@ -894,11 +753,13 @@ impl ServerState {
                 ))
             }
         };
-        let mode = match req.get("mode").map(Value::as_str) {
-            None | Some(Some("value")) => EvalMode::CallByValue,
-            Some(Some("name")) => EvalMode::CallByName,
-            Some(Some("need")) => EvalMode::CallByNeed,
-            Some(_) => {
+        let mode = match req
+            .get("mode")
+            .map(|m| m.as_str().and_then(EvalMode::parse))
+        {
+            None => EvalMode::CallByValue,
+            Some(Some(mode)) => mode,
+            Some(None) => {
                 return error_response(&ServeError::Proto(
                     "`mode` must be \"name\", \"need\" or \"value\"".to_string(),
                 ))
@@ -982,7 +843,6 @@ impl ServerState {
 
     fn op_stats(&self) -> String {
         let cache = self.cache.stats();
-        let (source_entries, source_bytes) = self.source_occupancy();
         let sv = self.service.snapshot();
         ok_response([
             (
@@ -993,7 +853,7 @@ impl ServerState {
                 "cache",
                 Value::obj([
                     ("hits", Value::num(cache.hits)),
-                    ("source_hits", Value::num(self.source_hits())),
+                    ("source_hits", Value::num(cache.source_hits)),
                     ("misses", Value::num(cache.misses)),
                     ("bypasses", Value::num(cache.bypasses)),
                     ("coalesced", Value::num(cache.coalesced)),
@@ -1002,8 +862,8 @@ impl ServerState {
                     ("bytes", Value::num(cache.bytes as u64)),
                     ("budget", Value::num(cache.budget as u64)),
                     ("shards", Value::num(cache.shards as u64)),
-                    ("source_entries", Value::num(source_entries as u64)),
-                    ("source_bytes", Value::num(source_bytes as u64)),
+                    ("source_entries", Value::num(cache.source_entries as u64)),
+                    ("source_bytes", Value::num(cache.source_bytes as u64)),
                 ]),
             ),
             (
@@ -1123,11 +983,11 @@ def main : Int =
     fn second_compile_hits() {
         let state = ServerState::with_defaults();
         let (first, _) = state.handle_line(&compile_req(&[]));
-        // Byte-identical resubmission: served by the textual front cache.
+        // Byte-identical resubmission: served by a source-text entry.
         let (second, _) = state.handle_line(&compile_req(&[]));
         assert!(first.contains("\"cache\": \"miss\""), "{first}");
         assert!(second.contains("\"cache\": \"hit\""), "{second}");
-        // Perturbed text, α-equal term: served by the term cache.
+        // Perturbed text, α-equal term: served by an α-class entry.
         let renamed = "\
 def main : Int =
   letrec walk : Int -> Int = \\(k : Int) -> if k <= 0 then 0 else walk (k - 1)
@@ -1338,6 +1198,7 @@ def main : Int =
             ("backend", Value::num(5)),
             ("mode", Value::num(5)),
             ("backend", Value::str("gpu")),
+            ("mode", Value::str("lazy")),
         ] {
             let req = Value::obj([
                 ("op", Value::str("run")),
@@ -1355,8 +1216,8 @@ def main : Int =
             );
             assert_eq!(err.get("code").and_then(Value::as_u64), Some(2), "{resp}");
         }
-        assert_eq!(state.cache_stats().misses, 0);
-        assert_eq!(state.source_occupancy().0, 0);
+        let stats = state.cache_stats();
+        assert_eq!((stats.misses, stats.source_entries), (0, 0));
     }
 
     #[test]
@@ -1435,33 +1296,8 @@ def main : Int =
     }
 
     #[test]
-    fn colliding_source_keys_replace_instead_of_starving() {
-        // Regression: `source_insert` used to keep the incumbent on a
-        // key collision, so the colliding program could never be cached.
-        // Drive the private API with a fabricated shared key.
-        let state = ServerState::with_defaults();
-        let opts = CompileOpts::default();
-        let src_a = "def main : Int = 1 + 1;";
-        let src_b = "def main : Int = 2 + 2;";
-        let a = state.compile_source(src_a, &opts).unwrap();
-        let b = state.compile_source(src_b, &opts).unwrap();
-        let key: SourceKey = (42, 42, false);
-        state.source_insert(key, src_a, &a);
-        // The collision is detected (exact text mismatch), not served:
-        assert!(state.source_lookup(key, src_b).is_none());
-        // ...and the colliding insert replaces, so B becomes cacheable:
-        state.source_insert(key, src_b, &b);
-        let got = state.source_lookup(key, src_b).expect("B must be resident");
-        assert!(
-            fj_ast::alpha_eq(&got.term, &b.term),
-            "replaced entry must serve B's term, not A's"
-        );
-        assert!(state.source_lookup(key, src_a).is_none());
-    }
-
-    #[test]
     fn source_cache_is_byte_bounded_and_lru() {
-        // A budget sized for a couple of entries on one shard.
+        // A budget sized for a couple of programs on one shard.
         let state = ServerState::new(1, 8_192);
         let opts = CompileOpts::default();
         let hot = "def main : Int = 7 * 6;";
@@ -1478,10 +1314,44 @@ def main : Int =
                 CacheDisposition::Hit,
                 "round {i}: LRU must keep the repeatedly-hit source"
             );
-            let (_, bytes) = state.source_occupancy();
-            assert!(bytes <= 8_192, "source budget exceeded: {bytes}");
+            let stats = state.cache_stats();
+            assert!(
+                stats.bytes + stats.source_bytes <= 8_192,
+                "budget exceeded: {stats:?}"
+            );
         }
-        let (entries, _) = state.source_occupancy();
-        assert!(entries < 13, "churn must have evicted cold sources");
+        let stats = state.cache_stats();
+        assert!(
+            stats.source_entries < 13,
+            "churn must have evicted cold sources"
+        );
+    }
+
+    /// `--cache-bytes` is one budget: source-text and α-class entries
+    /// share it, and the evictions of both are counted. Every program
+    /// below is a miss that inserts one entry of each kind, and each
+    /// entry fits the budget on its own.
+    #[test]
+    fn one_budget_bounds_both_entry_kinds() {
+        const BUDGET: usize = 8_192;
+        const PROGRAMS: usize = 40;
+        let state = ServerState::new(1, BUDGET);
+        let opts = CompileOpts::default();
+        for i in 0..PROGRAMS {
+            let source = format!("def main : Int = {i} + {i} * {i};");
+            let compiled = state.compile_source(&source, &opts).unwrap();
+            assert_eq!(compiled.cache, CacheDisposition::Miss, "program {i}");
+            let stats = state.cache_stats();
+            assert!(
+                stats.bytes + stats.source_bytes <= BUDGET,
+                "program {i}: both kinds exceed the one budget: {stats:?}"
+            );
+        }
+        let stats = state.cache_stats();
+        assert_eq!(
+            stats.entries + stats.source_entries + stats.evictions as usize,
+            2 * PROGRAMS,
+            "every inserted entry is resident or counted as evicted: {stats:?}"
+        );
     }
 }

@@ -19,7 +19,7 @@
 use crate::ops::{CaseTable, ChargeKind, Code, JumpSpec, Op, Program, RecBinding};
 use fj_ast::{Alt, AltCon, Binder, Expr, Ident, JoinBind, LetBind, Name};
 use fj_ast::{FxHashMap, FxHashSet};
-use fj_eval::EvalMode;
+use fj_eval::{is_cheap, EvalMode};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
@@ -254,24 +254,6 @@ pub fn compile_with(e: &Expr, mode: EvalMode, opts: CompileOpts) -> Result<Progr
         uses_thunks,
         fused: opts.fuse,
     })
-}
-
-/// The machine's `is_cheap`: freely duplicable, substituted inline,
-/// never charged.
-fn is_cheap(e: &Expr) -> bool {
-    e.is_atom() || matches!(e, Expr::Con(_, _, args) if args.is_empty())
-}
-
-/// The machine's mode-dependent `is_answer`.
-fn is_answer_m(mode: EvalMode, e: &Expr) -> bool {
-    match e {
-        Expr::Lam(..) | Expr::TyLam(..) | Expr::Lit(_) => true,
-        Expr::Con(_, _, args) => {
-            mode != EvalMode::CallByValue
-                || args.iter().all(|a| is_answer_m(mode, a) || a.is_atom())
-        }
-        _ => false,
-    }
 }
 
 /// Free *term* variables of `e`, in first-use order. Join labels are a
@@ -528,7 +510,7 @@ impl Compiler {
                 return Ok(());
             }
             _ if self.mode == EvalMode::CallByValue => {
-                if is_answer_m(self.mode, a) {
+                if self.mode.is_answer(a) {
                     // Answer-shaped constructor: bound as-is, charging
                     // its cell at the bind (`store_binding` on an
                     // unevaluated cell).
@@ -570,9 +552,7 @@ impl Compiler {
         let tag = self.intern(c);
         let arity = fields.len();
         if self.mode == EvalMode::CallByValue
-            && !fields
-                .iter()
-                .all(|f| f.is_atom() || is_answer_m(self.mode, f))
+            && !fields.iter().all(|f| f.is_atom() || self.mode.is_answer(f))
         {
             // Strict, non-answer cell: every field is evaluated to WHNF
             // left to right (the ConArgs frames), then the completed
@@ -845,7 +825,7 @@ impl Compiler {
     fn compile_let_rhs(&mut self, rhs: &Expr) -> Result<(), CompileError> {
         match rhs {
             Expr::Lam(..) | Expr::TyLam(..) => self.emit_closure(rhs),
-            Expr::Con(c, _, fields) if is_answer_m(self.mode, rhs) => {
+            Expr::Con(c, _, fields) if self.mode.is_answer(rhs) => {
                 // Answer cell bound unevaluated: one `con` unit.
                 self.compile_con(&c.clone(), fields, true)
             }
@@ -901,7 +881,7 @@ impl Compiler {
                         captures: caps.into_boxed_slice(),
                     }
                 }
-                Expr::Con(_, _, fields) if is_answer_m(self.mode, rhs) => {
+                Expr::Con(_, _, fields) if self.mode.is_answer(rhs) => {
                     // Pre-built cell: charged `con` at the bind (unless
                     // nullary, which is free), rebuilt uncharged on
                     // demand — cyclic cells stay cyclic through the

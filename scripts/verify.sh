@@ -94,8 +94,9 @@ if [[ "$QUICK" -eq 0 ]]; then
   # VM value and counters against the machine, and its native candle.
   run ./target/release/fj report >/dev/null
   # Serve smoke: start the compile service on an ephemeral port, compile
-  # the same program twice over raw TCP, and require the second response
-  # to be flagged as a cache hit before a clean shutdown.
+  # the same program three times over raw TCP, and require the second and
+  # third responses to be flagged as cache hits, served from source-text
+  # entries, before a clean shutdown.
   SERVE_LOG="$(mktemp)"
   echo '==> ./target/release/fj serve --port 0   (smoke)'
   ./target/release/fj serve --port 0 > "$SERVE_LOG" 2>&1 &
@@ -125,6 +126,8 @@ if [[ "$QUICK" -eq 0 ]]; then
   echo "$GARBAGE" | grep -q '"tag": "proto"' || { echo "verify: garbage frame was not a proto error: $GARBAGE" >&2; exit 1; }
   echo "$AFTER"  | grep -q '"cache": "hit"'  || { echo "verify: connection dead after garbage frame: $AFTER" >&2; exit 1; }
   echo "$STATS"  | grep -q '"service"'       || { echo "verify: stats lacks the service block: $STATS" >&2; exit 1; }
+  # The two recompiles are byte-identical, so source-text entries serve both.
+  echo "$STATS"  | grep -q '"source_hits": 2' || { echo "verify: byte-identical recompiles were not source hits: $STATS" >&2; exit 1; }
   echo "$BYE"    | grep -q '"shutting_down": true' || { echo "verify: serve shutdown failed: $BYE" >&2; exit 1; }
   wait_serve "serve smoke"
   trap - EXIT

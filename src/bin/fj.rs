@@ -73,7 +73,7 @@ struct Options {
     file: String,
     /// Built once, after every flag is read, so flag order cannot matter.
     config: OptConfig,
-    config_name: &'static str,
+    preset: Preset,
     mode: EvalMode,
     backend: Backend,
     fuel: u64,
@@ -103,7 +103,7 @@ fn usage() -> ExitCode {
          \x20               [--workers N] [--queue N] [--max-conns N] [--max-line BYTES]\n\
          \x20               [--idle-timeout-ms N] [--drain-ms N]\n\
          \x20                  (--cache-dir persists compiles across restarts;\n\
-         \x20                   --cache-bytes budgets each in-memory cache layer)\n\
+         \x20                   --cache-bytes bounds both in-memory entry kinds together)\n\
          \x20                  (compile service; newline-delimited JSON over TCP;\n\
          \x20                   requests beyond --workers running and --queue\n\
          \x20                   waiting, and connections beyond the cap, are\n\
@@ -134,7 +134,6 @@ fn parse_args() -> Result<Options, ExitCode> {
     }
     let mut compile = CompileOpts::default();
     let mut max_passes = None;
-    let mut config_name = "join-points";
     let mut mode = EvalMode::CallByValue;
     let mut backend = Backend::Machine;
     let mut fuel = DEFAULT_FUEL;
@@ -155,23 +154,15 @@ fn parse_args() -> Result<Options, ExitCode> {
     let mut file = None;
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--baseline" => {
-                compile.preset = Preset::Baseline;
-                config_name = "baseline";
-            }
-            "-O0" => {
-                compile.preset = Preset::None;
-                config_name = "unoptimized";
-            }
+            "--baseline" => compile.preset = Preset::Baseline,
+            "-O0" => compile.preset = Preset::None,
             "--metrics" => metrics = true,
             "--before" => before = true,
             "--resilient" => compile.resilient = true,
             "--mode" => {
-                mode = match args.next().as_deref() {
-                    Some("name") => EvalMode::CallByName,
-                    Some("need") => EvalMode::CallByNeed,
-                    Some("value") => EvalMode::CallByValue,
-                    _ => return Err(usage()),
+                mode = match args.next().as_deref().and_then(EvalMode::parse) {
+                    Some(m) => m,
+                    None => return Err(usage()),
                 };
             }
             "--backend" => {
@@ -289,7 +280,7 @@ fn parse_args() -> Result<Options, ExitCode> {
         command,
         file,
         config,
-        config_name,
+        preset: compile.preset,
         mode,
         backend,
         fuel,
@@ -443,7 +434,7 @@ fn compile_file(opts: &Options) -> Result<(), ServeError> {
             let (before, after) = (report.census_before.size, report.census_after.size);
             println!(
                 "-- pipeline: {} ({} passes)",
-                opts.config_name,
+                opts.preset.name(),
                 report.passes.len()
             );
             println!("-- size: {before} -> {after}");
@@ -462,7 +453,7 @@ fn compile_file(opts: &Options) -> Result<(), ServeError> {
             if opts.metrics {
                 eprintln!(
                     "[{} | {:?} | {}] {}",
-                    opts.config_name,
+                    opts.preset.name(),
                     opts.mode,
                     opts.backend.name(),
                     out.metrics

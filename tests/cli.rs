@@ -66,6 +66,30 @@ fn dump_shows_join_points() {
     assert!(stdout.contains("jump"), "{stdout}");
 }
 
+/// `dump` names the pipeline by the preset's wire name, the one the
+/// server's `preset` field takes.
+#[test]
+fn dump_names_the_preset_by_its_wire_name() {
+    for (flags, name) in [
+        (&[][..], "join-points"),
+        (&["--baseline"], "baseline"),
+        (&["-O0"], "none"),
+    ] {
+        let args: Vec<&str> = ["dump"]
+            .iter()
+            .chain(flags)
+            .chain(&["programs/sum.fj"])
+            .copied()
+            .collect();
+        let (stdout, stderr, ok) = fj(&args);
+        assert!(ok, "{flags:?}: {stderr}");
+        assert!(
+            stdout.starts_with(&format!("-- pipeline: {name} (")),
+            "{flags:?}: {stdout}"
+        );
+    }
+}
+
 #[test]
 fn dump_before_shows_letrec() {
     let (stdout, _, ok) = fj(&["dump", "--before", "programs/sum.fj"]);
@@ -169,9 +193,14 @@ fn type_error_exits_3_with_diagnostic() {
 
 #[test]
 fn usage_error_exits_2() {
-    let (_, stderr, code) = fj_code(&["frobnicate"]);
-    assert_eq!(code, Some(2), "stderr: {stderr}");
-    assert!(stderr.contains("usage"), "{stderr}");
+    for args in [
+        &["frobnicate"][..],
+        &["run", "--mode", "lazy", "programs/sum.fj"],
+    ] {
+        let (_, stderr, code) = fj_code(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage"), "{args:?}: {stderr}");
+    }
 }
 
 #[test]

@@ -354,7 +354,7 @@ pub struct OptCache {
     disk_write_failures: AtomicU64,
     /// Test hook: collapse every term fingerprint and text hash to one
     /// value so key collisions become constructible.
-    #[cfg(test)]
+    #[cfg(any(test, feature = "test-hooks"))]
     collide_keys: bool,
 }
 
@@ -381,9 +381,19 @@ impl OptCache {
             disk_verify_failures: AtomicU64::new(0),
             disk_writes: AtomicU64::new(0),
             disk_write_failures: AtomicU64::new(0),
-            #[cfg(test)]
+            #[cfg(any(test, feature = "test-hooks"))]
             collide_keys: false,
         }
+    }
+
+    /// Test hook: every term fingerprint and text hash becomes one
+    /// value, so any two programs collide and the verified-replace path
+    /// runs. Exists only under `cfg(test)` or the `test-hooks` feature.
+    #[cfg(any(test, feature = "test-hooks"))]
+    #[must_use]
+    pub fn with_colliding_keys(mut self) -> Self {
+        self.collide_keys = true;
+        self
     }
 
     /// Attach a persistent tier (consulted on miss, written behind on
@@ -412,7 +422,7 @@ impl OptCache {
 
     /// The key component a term fingerprint or text hash becomes.
     fn key_hash(&self, hash: u64) -> u64 {
-        #[cfg(test)]
+        #[cfg(any(test, feature = "test-hooks"))]
         if self.collide_keys {
             return 0;
         }
@@ -1050,8 +1060,7 @@ mod tests {
         // kind: the second must still get cached (replacing the first),
         // and each program recompiles with at most one miss afterward —
         // no starvation.
-        let mut cache = OptCache::with_budget(1, usize::MAX);
-        cache.collide_keys = true;
+        let cache = OptCache::with_budget(1, usize::MAX).with_colliding_keys();
         let cfg = OptConfig::none();
         let mut d = Dsl::new();
         let mut s = d.supply.clone();

@@ -1332,6 +1332,42 @@ def main : Int =
     /// below is a miss that inserts one entry of each kind, and each
     /// entry fits the budget on its own.
     #[test]
+    fn colliding_source_keys_replace_instead_of_starving() {
+        // Regression: the source-text cache used to keep the incumbent
+        // on a key collision, so the colliding program could never be
+        // cached. Every key collides here, for both entry kinds.
+        let mut state = ServerState::with_defaults();
+        state.cache = OptCache::with_budget(1, DEFAULT_CACHE_BYTES).with_colliding_keys();
+        let opts = CompileOpts::default();
+        let src_a = "def main : Int = 1 + 1;";
+        let src_b = "def main : Int = 2 + 2;";
+        let compile = |src| state.compile_source(src, &opts).unwrap();
+        let a = compile(src_a);
+        // The collision is detected (exact text, then α-equality), not
+        // served:
+        let b = compile(src_b);
+        assert_eq!(b.cache, CacheDisposition::Miss);
+        assert!(!fj_ast::alpha_eq(&a.term, &b.term), "A and B must differ");
+        // ...and the colliding insert replaced A, so B is cacheable:
+        let b2 = compile(src_b);
+        assert_eq!(b2.cache, CacheDisposition::Hit);
+        assert_eq!(
+            state.cache_stats().source_hits,
+            1,
+            "B's source-text entry was starved"
+        );
+        assert!(
+            Arc::ptr_eq(&b2.term, &b.term),
+            "replaced entry must serve B's term, not A's"
+        );
+        let a2 = compile(src_a);
+        assert_eq!(a2.cache, CacheDisposition::Miss);
+        assert!(fj_ast::alpha_eq(&a2.term, &a.term));
+        let stats = state.cache_stats();
+        assert_eq!((stats.entries, stats.source_entries), (1, 1));
+    }
+
+    #[test]
     fn one_budget_bounds_both_entry_kinds() {
         const BUDGET: usize = 8_192;
         const PROGRAMS: usize = 40;

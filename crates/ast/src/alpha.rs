@@ -1,452 +1,347 @@
-//! α-equivalence of System F_J terms.
+//! α-equivalence of System F_J terms, decided by one canonical form.
 //!
 //! The optimizer freshens binders aggressively, so "did this pass change
 //! anything?" must be asked up to renaming of bound names; tests likewise
-//! compare expected and actual optimizer output with [`alpha_eq`].
+//! compare expected and actual optimizer output with [`alpha_eq`], and the
+//! compile cache keys and verifies its entries the same way.
+//!
+//! [`AlphaForm::of`] is the one walk. It writes a term as a sequence of
+//! words that two terms share exactly when they are equal up to a
+//! consistent renaming of bound term variables, type variables and join
+//! labels (Fig. 1's three binder namespaces). [`alpha_eq`] is equality of
+//! two forms and [`alpha_fingerprint`] is the hash of one.
+//!
+//! The form is exact and prefix-free:
+//!
+//! * a bound name is written as its binder's de Bruijn level — the
+//!   binder's index, in binding order, among the binders in scope — so an
+//!   inner binder shadows an outer one of the same name until its scope
+//!   ends; a free name is written as its [`Name::id`];
+//! * constructor and type-constructor names are spelled out byte for
+//!   byte, not hashed;
+//! * every list (fields, type arguments, alternatives, binders, group
+//!   members) is prefixed with its length;
+//! * expression, type and alternative nodes open with tags from disjoint
+//!   sets, and a name occurrence's tag says whether it is bound or free.
+//!
+//! Scoping follows the typing rules: a binder's type is written before
+//! the binder is bound; a `let rec` or `join rec` group is bound before
+//! its right-hand sides; a non-recursive join's label is bound after its
+//! definition; a join point's type parameters are bound before the
+//! parameter types that mention them.
 
-use crate::expr::{Expr, LetBind};
-use crate::name::Name;
+use crate::expr::{AltCon, Expr, LetBind};
+use crate::fxhash::FxHasher;
+use crate::name::{Ident, Name};
 use crate::ty::Type;
-use std::collections::HashMap;
+use std::hash::Hasher;
 
 /// Are two terms equal up to consistent renaming of bound term variables,
 /// type variables, and join labels?
 pub fn alpha_eq(a: &Expr, b: &Expr) -> bool {
-    let mut env = Env::default();
-    go(a, b, &mut env)
+    AlphaForm::of(a) == AlphaForm::of(b)
 }
 
-#[derive(Default)]
-struct Env {
-    /// left-name → right-name, for binders in scope (terms, tyvars, labels
-    /// share the map: uniques never collide across namespaces in practice,
-    /// and a mismatch in namespace makes the terms structurally unequal
-    /// before the map is consulted).
-    map: Vec<(Name, Name)>,
-}
-
-impl Env {
-    fn push(&mut self, l: &Name, r: &Name) {
-        self.map.push((l.clone(), r.clone()));
-    }
-    fn pop_n(&mut self, n: usize) {
-        self.map.truncate(self.map.len() - n);
-    }
-    fn matches(&self, l: &Name, r: &Name) -> bool {
-        for (a, b) in self.map.iter().rev() {
-            if a == l || b == r {
-                return a == l && b == r;
-            }
-        }
-        l == r
-    }
-}
-
-fn ty_eq(a: &Type, b: &Type, env: &mut Env) -> bool {
-    match (a, b) {
-        (Type::Var(x), Type::Var(y)) => env.matches(x, y),
-        (Type::Con(c1, a1), Type::Con(c2, a2)) => {
-            c1 == c2 && a1.len() == a2.len() && a1.iter().zip(a2).all(|(x, y)| ty_eq(x, y, env))
-        }
-        (Type::Fun(a1, r1), Type::Fun(a2, r2)) => ty_eq(a1, a2, env) && ty_eq(r1, r2, env),
-        (Type::Forall(x, b1), Type::Forall(y, b2)) => {
-            env.push(x, y);
-            let ok = ty_eq(b1, b2, env);
-            env.pop_n(1);
-            ok
-        }
-        (Type::Int, Type::Int) => true,
-        _ => false,
-    }
-}
-
-#[allow(clippy::too_many_lines)]
-fn go(a: &Expr, b: &Expr, env: &mut Env) -> bool {
-    match (a, b) {
-        (Expr::Var(x), Expr::Var(y)) => env.matches(x, y),
-        (Expr::Lit(m), Expr::Lit(n)) => m == n,
-        (Expr::Prim(o1, a1), Expr::Prim(o2, a2)) => {
-            o1 == o2 && a1.len() == a2.len() && a1.iter().zip(a2).all(|(x, y)| go(x, y, env))
-        }
-        (Expr::Lam(b1, e1), Expr::Lam(b2, e2)) => {
-            if !ty_eq(&b1.ty, &b2.ty, env) {
-                return false;
-            }
-            env.push(&b1.name, &b2.name);
-            let ok = go(e1, e2, env);
-            env.pop_n(1);
-            ok
-        }
-        (Expr::TyLam(a1, e1), Expr::TyLam(a2, e2)) => {
-            env.push(a1, a2);
-            let ok = go(e1, e2, env);
-            env.pop_n(1);
-            ok
-        }
-        (Expr::App(f1, x1), Expr::App(f2, x2)) => go(f1, f2, env) && go(x1, x2, env),
-        (Expr::TyApp(f1, t1), Expr::TyApp(f2, t2)) => go(f1, f2, env) && ty_eq(t1, t2, env),
-        (Expr::Con(c1, t1, e1), Expr::Con(c2, t2, e2)) => {
-            c1 == c2
-                && t1.len() == t2.len()
-                && t1.iter().zip(t2).all(|(x, y)| ty_eq(x, y, env))
-                && e1.len() == e2.len()
-                && e1.iter().zip(e2).all(|(x, y)| go(x, y, env))
-        }
-        (Expr::Case(s1, alts1), Expr::Case(s2, alts2)) => {
-            if !go(s1, s2, env) || alts1.len() != alts2.len() {
-                return false;
-            }
-            alts1.iter().zip(alts2).all(|(x, y)| {
-                if x.con != y.con || x.binders.len() != y.binders.len() {
-                    return false;
-                }
-                for (bx, by) in x.binders.iter().zip(&y.binders) {
-                    if !ty_eq(&bx.ty, &by.ty, env) {
-                        return false;
-                    }
-                }
-                for (bx, by) in x.binders.iter().zip(&y.binders) {
-                    env.push(&bx.name, &by.name);
-                }
-                let ok = go(&x.rhs, &y.rhs, env);
-                env.pop_n(x.binders.len());
-                ok
-            })
-        }
-        (Expr::Let(b1, e1), Expr::Let(b2, e2)) => match (b1, b2) {
-            (LetBind::NonRec(x1, r1), LetBind::NonRec(x2, r2)) => {
-                if !ty_eq(&x1.ty, &x2.ty, env) || !go(r1, r2, env) {
-                    return false;
-                }
-                env.push(&x1.name, &x2.name);
-                let ok = go(e1, e2, env);
-                env.pop_n(1);
-                ok
-            }
-            (LetBind::Rec(g1), LetBind::Rec(g2)) => {
-                if g1.len() != g2.len() {
-                    return false;
-                }
-                for ((x1, _), (x2, _)) in g1.iter().zip(g2) {
-                    if !ty_eq(&x1.ty, &x2.ty, env) {
-                        return false;
-                    }
-                    env.push(&x1.name, &x2.name);
-                }
-                let ok =
-                    g1.iter().zip(g2).all(|((_, r1), (_, r2))| go(r1, r2, env)) && go(e1, e2, env);
-                env.pop_n(g1.len());
-                ok
-            }
-            _ => false,
-        },
-        (Expr::Join(j1, e1), Expr::Join(j2, e2)) => {
-            let (d1, d2) = (j1.defs(), j2.defs());
-            if j1.is_rec() != j2.is_rec() || d1.len() != d2.len() {
-                return false;
-            }
-            let is_rec = j1.is_rec();
-            if is_rec {
-                for (a, b) in d1.iter().zip(d2) {
-                    env.push(&a.name, &b.name);
-                }
-            }
-            let mut ok = true;
-            for (da, db) in d1.iter().zip(d2) {
-                if da.ty_params.len() != db.ty_params.len() || da.params.len() != db.params.len() {
-                    ok = false;
-                    break;
-                }
-                let mut pushed = 0;
-                for (ta, tb) in da.ty_params.iter().zip(&db.ty_params) {
-                    env.push(ta, tb);
-                    pushed += 1;
-                }
-                let tys_ok = da
-                    .params
-                    .iter()
-                    .zip(&db.params)
-                    .all(|(pa, pb)| ty_eq(&pa.ty, &pb.ty, env));
-                for (pa, pb) in da.params.iter().zip(&db.params) {
-                    env.push(&pa.name, &pb.name);
-                    pushed += 1;
-                }
-                let body_ok = tys_ok && go(&da.body, &db.body, env);
-                env.pop_n(pushed);
-                if !body_ok {
-                    ok = false;
-                    break;
-                }
-            }
-            if ok {
-                if !is_rec {
-                    for (a, b) in d1.iter().zip(d2) {
-                        env.push(&a.name, &b.name);
-                    }
-                }
-                ok = go(e1, e2, env);
-                if !is_rec {
-                    env.pop_n(d1.len());
-                }
-            }
-            if is_rec {
-                env.pop_n(d1.len());
-            }
-            ok
-        }
-        (Expr::Jump(x, t1, a1, r1), Expr::Jump(y, t2, a2, r2)) => {
-            env.matches(x, y)
-                && t1.len() == t2.len()
-                && t1.iter().zip(t2).all(|(p, q)| ty_eq(p, q, env))
-                && a1.len() == a2.len()
-                && a1.iter().zip(a2).all(|(p, q)| go(p, q, env))
-                && ty_eq(r1, r2, env)
-        }
-        _ => false,
-    }
-}
-
-/// A canonical structural hash key that is invariant under α-renaming —
-/// cheap fixpoint detection for optimizer rounds.
+/// A structural hash that is invariant under α-renaming: the hash of the
+/// term's [`AlphaForm`], folded as the walk writes it, without building
+/// the form. α-equal terms always get the same fingerprint; different ones
+/// can collide, so a caller that must be sound compares forms.
 pub fn alpha_fingerprint(e: &Expr) -> u64 {
-    use std::hash::Hasher;
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    let mut next = 0u64;
-    let mut map: HashMap<Name, u64> = HashMap::new();
-    fingerprint(e, &mut map, &mut next, &mut h);
-    h.finish()
+    write(e, FxHasher::default()).finish()
 }
 
-fn fp_name(
-    n: &Name,
-    map: &mut HashMap<Name, u64>,
-    _next: &mut u64,
-    h: &mut impl std::hash::Hasher,
-) {
-    use std::hash::Hash;
-    match map.get(n) {
-        Some(ix) => ix.hash(h),
-        None => {
-            // Free name: hash its identity.
-            u64::MAX.hash(h);
-            n.id().hash(h);
+/// A term's α-canonical form (see the module docs): equal for two terms
+/// exactly when they are α-equivalent.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct AlphaForm(Vec<u64>);
+
+impl AlphaForm {
+    /// Write `e` in canonical form.
+    pub fn of(e: &Expr) -> Self {
+        AlphaForm(write(e, Vec::with_capacity(256)))
+    }
+
+    /// The hash of the form: [`alpha_fingerprint`] of the term it was
+    /// written from.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = FxHasher::default();
+        for &w in &self.0 {
+            h.word(w);
         }
+        h.finish()
     }
 }
 
-fn bind_name(n: &Name, map: &mut HashMap<Name, u64>, next: &mut u64) -> Option<u64> {
-    let prev = map.insert(n.clone(), *next);
-    *next += 1;
-    prev
+/// Run the walk over `e`, writing its form into `out`.
+fn write<S: Sink>(e: &Expr, out: S) -> S {
+    let mut w = Writer {
+        out,
+        scope: Vec::new(),
+    };
+    w.expr(e);
+    w.out
 }
 
-fn fp_ty(t: &Type, map: &mut HashMap<Name, u64>, next: &mut u64, h: &mut impl std::hash::Hasher) {
-    use std::hash::Hash;
-    match t {
-        Type::Var(a) => {
-            0u8.hash(h);
-            fp_name(a, map, next, h);
-        }
-        Type::Con(c, args) => {
-            1u8.hash(h);
-            c.as_str().hash(h);
-            for a in args {
-                fp_ty(a, map, next, h);
-            }
-        }
-        Type::Fun(a, b) => {
-            2u8.hash(h);
-            fp_ty(a, map, next, h);
-            fp_ty(b, map, next, h);
-        }
-        Type::Forall(a, b) => {
-            3u8.hash(h);
-            let prev = bind_name(a, map, next);
-            fp_ty(b, map, next, h);
-            restore(a, prev, map);
-        }
-        Type::Int => 4u8.hash(h),
+/// Where the walk writes its words: a form in memory, or straight into
+/// the fingerprint's hash. Both see the same words in the same order.
+trait Sink {
+    fn word(&mut self, w: u64);
+}
+
+impl Sink for Vec<u64> {
+    fn word(&mut self, w: u64) {
+        self.push(w);
     }
 }
 
-fn restore(n: &Name, prev: Option<u64>, map: &mut HashMap<Name, u64>) {
-    match prev {
-        Some(v) => {
-            map.insert(n.clone(), v);
-        }
-        None => {
-            map.remove(n);
-        }
+impl Sink for FxHasher {
+    fn word(&mut self, w: u64) {
+        self.write_u64(w);
     }
 }
 
-#[allow(clippy::too_many_lines)]
-fn fingerprint(
-    e: &Expr,
-    map: &mut HashMap<Name, u64>,
-    next: &mut u64,
-    h: &mut impl std::hash::Hasher,
-) {
-    use std::hash::Hash;
-    match e {
-        Expr::Var(x) => {
-            10u8.hash(h);
-            fp_name(x, map, next, h);
-        }
-        Expr::Lit(n) => {
-            11u8.hash(h);
-            n.hash(h);
-        }
-        Expr::Prim(op, args) => {
-            12u8.hash(h);
-            op.hash(h);
-            for a in args {
-                fingerprint(a, map, next, h);
+/// The opening word of every node. Expression, type and alternative tags
+/// are disjoint; a name occurrence has a bound and a free tag.
+#[derive(Clone, Copy)]
+enum Tag {
+    Var,
+    FreeVar,
+    Lit,
+    Prim,
+    Lam,
+    TyLam,
+    App,
+    TyApp,
+    Con,
+    Case,
+    Let,
+    LetRec,
+    Join,
+    JoinRec,
+    Jump,
+    FreeJump,
+    TyVar,
+    FreeTyVar,
+    TyCon,
+    Fun,
+    Forall,
+    Int,
+    ConAlt,
+    LitAlt,
+    DefaultAlt,
+}
+
+/// The walk: where its words go and the binders in scope, by id.
+struct Writer<S> {
+    out: S,
+    scope: Vec<u64>,
+}
+
+impl<S: Sink> Writer<S> {
+    fn tag(&mut self, tag: Tag) {
+        self.out.word(tag as u64);
+    }
+
+    fn len(&mut self, n: usize) {
+        self.out.word(n as u64);
+    }
+
+    /// A name occurrence: `bound` and the level of its innermost binder,
+    /// or `free` and its id.
+    fn name(&mut self, n: &Name, bound: Tag, free: Tag) {
+        match self.scope.iter().rposition(|&id| id == n.id()) {
+            Some(level) => {
+                self.tag(bound);
+                self.out.word(level as u64);
+            }
+            None => {
+                self.tag(free);
+                self.out.word(n.id());
             }
         }
-        Expr::Lam(b, body) => {
-            13u8.hash(h);
-            fp_ty(&b.ty, map, next, h);
-            let prev = bind_name(&b.name, map, next);
-            fingerprint(body, map, next, h);
-            restore(&b.name, prev, map);
+    }
+
+    fn bind(&mut self, n: &Name) {
+        self.scope.push(n.id());
+    }
+
+    /// A constructor name, spelled out: its byte length, then its bytes
+    /// eight to a word.
+    fn ident(&mut self, c: &Ident) {
+        let bytes = c.as_str().as_bytes();
+        self.len(bytes.len());
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.out.word(u64::from_le_bytes(word));
         }
-        Expr::TyLam(a, body) => {
-            14u8.hash(h);
-            let prev = bind_name(a, map, next);
-            fingerprint(body, map, next, h);
-            restore(a, prev, map);
+    }
+
+    fn tys(&mut self, ts: &[Type]) {
+        self.len(ts.len());
+        for t in ts {
+            self.ty(t);
         }
-        Expr::App(f, x) => {
-            15u8.hash(h);
-            fingerprint(f, map, next, h);
-            fingerprint(x, map, next, h);
+    }
+
+    fn exprs(&mut self, es: &[Expr]) {
+        self.len(es.len());
+        for e in es {
+            self.expr(e);
         }
-        Expr::TyApp(f, t) => {
-            16u8.hash(h);
-            fingerprint(f, map, next, h);
-            fp_ty(t, map, next, h);
-        }
-        Expr::Con(c, tys, args) => {
-            17u8.hash(h);
-            c.as_str().hash(h);
-            for t in tys {
-                fp_ty(t, map, next, h);
+    }
+
+    fn ty(&mut self, t: &Type) {
+        match t {
+            Type::Var(a) => self.name(a, Tag::TyVar, Tag::FreeTyVar),
+            Type::Con(c, args) => {
+                self.tag(Tag::TyCon);
+                self.ident(c);
+                self.tys(args);
             }
-            for a in args {
-                fingerprint(a, map, next, h);
+            Type::Fun(a, r) => {
+                self.tag(Tag::Fun);
+                self.ty(a);
+                self.ty(r);
             }
+            Type::Forall(a, body) => {
+                self.tag(Tag::Forall);
+                self.bind(a);
+                self.ty(body);
+                self.scope.pop();
+            }
+            Type::Int => self.tag(Tag::Int),
         }
-        Expr::Case(s, alts) => {
-            18u8.hash(h);
-            fingerprint(s, map, next, h);
-            for alt in alts {
-                match &alt.con {
-                    crate::expr::AltCon::Con(c) => {
-                        0u8.hash(h);
-                        c.as_str().hash(h);
+    }
+
+    fn expr(&mut self, e: &Expr) {
+        let mark = self.scope.len();
+        match e {
+            Expr::Var(x) => self.name(x, Tag::Var, Tag::FreeVar),
+            Expr::Lit(n) => {
+                self.tag(Tag::Lit);
+                self.out.word(*n as u64);
+            }
+            Expr::Prim(op, args) => {
+                self.tag(Tag::Prim);
+                self.out.word(*op as u64);
+                self.exprs(args);
+            }
+            Expr::Lam(b, body) => {
+                self.tag(Tag::Lam);
+                self.ty(&b.ty);
+                self.bind(&b.name);
+                self.expr(body);
+            }
+            Expr::TyLam(a, body) => {
+                self.tag(Tag::TyLam);
+                self.bind(a);
+                self.expr(body);
+            }
+            Expr::App(f, x) => {
+                self.tag(Tag::App);
+                self.expr(f);
+                self.expr(x);
+            }
+            Expr::TyApp(f, t) => {
+                self.tag(Tag::TyApp);
+                self.expr(f);
+                self.ty(t);
+            }
+            Expr::Con(c, tys, args) => {
+                self.tag(Tag::Con);
+                self.ident(c);
+                self.tys(tys);
+                self.exprs(args);
+            }
+            Expr::Case(scrut, alts) => {
+                self.tag(Tag::Case);
+                self.expr(scrut);
+                self.len(alts.len());
+                for alt in alts {
+                    match &alt.con {
+                        AltCon::Con(c) => {
+                            self.tag(Tag::ConAlt);
+                            self.ident(c);
+                        }
+                        AltCon::Lit(n) => {
+                            self.tag(Tag::LitAlt);
+                            self.out.word(*n as u64);
+                        }
+                        AltCon::Default => self.tag(Tag::DefaultAlt),
                     }
-                    crate::expr::AltCon::Lit(n) => {
-                        1u8.hash(h);
-                        n.hash(h);
+                    self.len(alt.binders.len());
+                    for b in &alt.binders {
+                        self.ty(&b.ty);
                     }
-                    crate::expr::AltCon::Default => 2u8.hash(h),
-                }
-                let prevs: Vec<_> = alt
-                    .binders
-                    .iter()
-                    .map(|b| {
-                        fp_ty(&b.ty, map, next, h);
-                        (b.name.clone(), bind_name(&b.name, map, next))
-                    })
-                    .collect();
-                fingerprint(&alt.rhs, map, next, h);
-                for (n, prev) in prevs.into_iter().rev() {
-                    restore(&n, prev, map);
-                }
-            }
-        }
-        Expr::Let(bind, body) => {
-            19u8.hash(h);
-            match bind {
-                LetBind::NonRec(b, rhs) => {
-                    fp_ty(&b.ty, map, next, h);
-                    fingerprint(rhs, map, next, h);
-                    let prev = bind_name(&b.name, map, next);
-                    fingerprint(body, map, next, h);
-                    restore(&b.name, prev, map);
-                }
-                LetBind::Rec(binds) => {
-                    let prevs: Vec<_> = binds
-                        .iter()
-                        .map(|(b, _)| {
-                            fp_ty(&b.ty, map, next, h);
-                            (b.name.clone(), bind_name(&b.name, map, next))
-                        })
-                        .collect();
-                    for (_, rhs) in binds {
-                        fingerprint(rhs, map, next, h);
+                    for b in &alt.binders {
+                        self.bind(&b.name);
                     }
-                    fingerprint(body, map, next, h);
-                    for (n, prev) in prevs.into_iter().rev() {
-                        restore(&n, prev, map);
+                    self.expr(&alt.rhs);
+                    self.scope.truncate(mark);
+                }
+            }
+            Expr::Let(LetBind::NonRec(b, rhs), body) => {
+                self.tag(Tag::Let);
+                self.ty(&b.ty);
+                self.expr(rhs);
+                self.bind(&b.name);
+                self.expr(body);
+            }
+            Expr::Let(LetBind::Rec(group), body) => {
+                self.tag(Tag::LetRec);
+                self.len(group.len());
+                for (b, _) in group {
+                    self.ty(&b.ty);
+                    self.bind(&b.name);
+                }
+                for (_, rhs) in group {
+                    self.expr(rhs);
+                }
+                self.expr(body);
+            }
+            Expr::Join(jb, body) => {
+                let defs = jb.defs();
+                if jb.is_rec() {
+                    self.tag(Tag::JoinRec);
+                    self.len(defs.len());
+                    for d in defs {
+                        self.bind(&d.name);
+                    }
+                } else {
+                    self.tag(Tag::Join);
+                }
+                for d in defs {
+                    let outer = self.scope.len();
+                    self.len(d.ty_params.len());
+                    for a in &d.ty_params {
+                        self.bind(a);
+                    }
+                    self.len(d.params.len());
+                    for p in &d.params {
+                        self.ty(&p.ty);
+                    }
+                    for p in &d.params {
+                        self.bind(&p.name);
+                    }
+                    self.expr(&d.body);
+                    self.scope.truncate(outer);
+                }
+                if !jb.is_rec() {
+                    for d in defs {
+                        self.bind(&d.name);
                     }
                 }
+                self.expr(body);
+            }
+            Expr::Jump(j, tys, args, res) => {
+                self.name(j, Tag::Jump, Tag::FreeJump);
+                self.tys(tys);
+                self.exprs(args);
+                self.ty(res);
             }
         }
-        Expr::Join(jb, body) => {
-            20u8.hash(h);
-            jb.is_rec().hash(h);
-            let is_rec = jb.is_rec();
-            let label_prevs: Vec<_> = if is_rec {
-                jb.defs()
-                    .iter()
-                    .map(|d| (d.name.clone(), bind_name(&d.name, map, next)))
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            for d in jb.defs() {
-                let mut prevs: Vec<(Name, Option<u64>)> = Vec::new();
-                for a in &d.ty_params {
-                    prevs.push((a.clone(), bind_name(a, map, next)));
-                }
-                for p in &d.params {
-                    fp_ty(&p.ty, map, next, h);
-                    prevs.push((p.name.clone(), bind_name(&p.name, map, next)));
-                }
-                fingerprint(&d.body, map, next, h);
-                for (n, prev) in prevs.into_iter().rev() {
-                    restore(&n, prev, map);
-                }
-            }
-            let body_prevs: Vec<_> = if is_rec {
-                Vec::new()
-            } else {
-                jb.defs()
-                    .iter()
-                    .map(|d| (d.name.clone(), bind_name(&d.name, map, next)))
-                    .collect()
-            };
-            fingerprint(body, map, next, h);
-            for (n, prev) in body_prevs.into_iter().rev() {
-                restore(&n, prev, map);
-            }
-            for (n, prev) in label_prevs.into_iter().rev() {
-                restore(&n, prev, map);
-            }
-        }
-        Expr::Jump(j, tys, args, res) => {
-            21u8.hash(h);
-            fp_name(j, map, next, h);
-            for t in tys {
-                fp_ty(t, map, next, h);
-            }
-            for a in args {
-                fingerprint(a, map, next, h);
-            }
-            fp_ty(res, map, next, h);
-        }
+        self.scope.truncate(mark);
     }
 }
 
@@ -469,6 +364,8 @@ mod tests {
         assert_ne!(e, f, "freshen must rename");
         assert!(alpha_eq(&e, &f));
         assert_eq!(alpha_fingerprint(&e), alpha_fingerprint(&f));
+        // The streamed fingerprint is the hash of the form in memory.
+        assert_eq!(alpha_fingerprint(&e), AlphaForm::of(&e).fingerprint());
     }
 
     #[test]
@@ -477,6 +374,44 @@ mod tests {
         let b = Expr::Lit(2);
         assert!(!alpha_eq(&a, &b));
         assert_ne!(alpha_fingerprint(&a), alpha_fingerprint(&b));
+    }
+
+    /// Lists are length-prefixed, so a field or an alternative that moves
+    /// across a nesting boundary changes the form: `K (L 1) 2` against
+    /// `K (L 1 2)`, and an alternative moved between two nested cases.
+    #[test]
+    fn list_boundaries_are_part_of_the_form() {
+        use crate::expr::Alt;
+        let con = |c: &str, args: Vec<Expr>| Expr::Con(Ident::new(c), vec![], args);
+        let alt = |c: &str, rhs: Expr| Alt::simple(AltCon::Con(Ident::new(c)), rhs);
+        let (x, y) = (Expr::var(&Name::with_id("x", 1)), Name::with_id("y", 2));
+        let inner = |alts| Expr::case(Expr::var(&y), alts);
+        let pairs = [
+            (
+                con("K", vec![con("L", vec![Expr::Lit(1)]), Expr::Lit(2)]),
+                con("K", vec![con("L", vec![Expr::Lit(1), Expr::Lit(2)])]),
+            ),
+            (
+                Expr::case(
+                    x.clone(),
+                    vec![
+                        alt("A", inner(vec![alt("B", Expr::Lit(1))])),
+                        alt("C", Expr::Lit(2)),
+                    ],
+                ),
+                Expr::case(
+                    x,
+                    vec![alt(
+                        "A",
+                        inner(vec![alt("B", Expr::Lit(1)), alt("C", Expr::Lit(2))]),
+                    )],
+                ),
+            ),
+        ];
+        for (a, b) in &pairs {
+            assert!(!alpha_eq(a, b), "{a} vs {b}");
+            assert_ne!(alpha_fingerprint(a), alpha_fingerprint(b), "{a} vs {b}");
+        }
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!   throughout the repository,
 //! * free-variable analyses ([`free_vars`], [`free_labels`]),
 //! * capture-avoiding, binder-freshening substitution ([`Subst`], [`freshen`]),
-//! * α-equivalence ([`alpha_eq`]) and a Core-dump-style pretty printer
-//!   ([`pretty`]),
+//! * α-equivalence ([`alpha_eq`]) and α-fingerprints
+//!   ([`alpha_fingerprint`]), both read off one canonical form
+//!   ([`AlphaForm`]), and a Core-dump-style pretty printer ([`pretty`]),
 //! * a term-building DSL ([`Dsl`]) used by examples and benchmarks.
 //!
 //! ## Example
@@ -50,7 +51,7 @@ mod pretty;
 mod subst;
 mod ty;
 
-pub use alpha::{alpha_eq, alpha_fingerprint};
+pub use alpha::{alpha_eq, alpha_fingerprint, AlphaForm};
 pub use builder::Dsl;
 pub use data_env::{DataCon, DataEnv, DataEnvError, DataType};
 pub use expr::{

@@ -13,19 +13,22 @@
 //!
 //! ## Keying
 //!
-//! A lookup key is the triple of
-//! [`alpha_fingerprint`](fj_ast::alpha_fingerprint) of the input term
-//! (binder-name-blind by construction),
+//! A lookup writes the input term in its α-canonical form
+//! ([`AlphaForm`]: bound names as de Bruijn levels, free names as ids,
+//! constructor names spelled out, every list length-prefixed), once. The
+//! key is the triple of the form's hash — exactly
+//! [`alpha_fingerprint`](fj_ast::alpha_fingerprint) of the input —
 //! [`OptConfig::fingerprint`](crate::OptConfig::fingerprint) (every knob
 //! that can change the output, `None` under a fault-injection tap — tapped
 //! pipelines bypass the cache), and
 //! [`DataEnv::fingerprint`](fj_ast::DataEnv::fingerprint) (constructor
 //! tags and field types drive `case` simplification), plus the
 //! strict/resilient mode bit. Fingerprints are 64-bit and *can* collide,
-//! so a hit is only served after an explicit
-//! [`alpha_eq`](fj_ast::alpha_eq) check of the stored input term against
-//! the request — one linear walk, still orders of magnitude cheaper than
-//! a pipeline run, and it makes the cache sound rather than probabilistic.
+//! so an α-class entry and an in-flight marker keep the form itself, and
+//! a hit is only served when the stored form equals the request's — one
+//! comparison of two word sequences, which makes the cache sound rather
+//! than probabilistic: two forms are equal exactly when the terms are
+//! α-equivalent ([`alpha_eq`](fj_ast::alpha_eq) is that same comparison).
 //! On a *verified* non-match (same key, different term) the colliding
 //! insert **replaces** the resident entry — last writer wins — so no
 //! program can be starved of caching by an unlucky fingerprint.
@@ -33,7 +36,7 @@
 //! ## Two entry kinds
 //!
 //! Each shard's map holds two kinds of entry. An **α-class entry** is the
-//! one keyed above and verified by `alpha_eq`; [`optimize_cached`] reads
+//! one keyed above and verified by its form; [`optimize_cached`] reads
 //! and writes it. A **source-text entry** memoizes a whole compile of one
 //! exact source text ([`OptCache::lookup_source`],
 //! [`OptCache::insert_source`]): its key hashes the text in place of the
@@ -82,10 +85,10 @@
 //! plain [`Expr`]s; serialization lives with the implementation (the
 //! server's store unparses to surface text and **re-lowers through the
 //! full frontend on load**). Adoption mirrors the in-memory hit
-//! discipline: the decoded input must α-match the request, the datatype
-//! environment fingerprint must match, and the decoded output must lint —
-//! so a truncated, corrupt, or stale file can only ever cost a miss,
-//! never a wrong term. A disk hit synthesizes a zero-pass
+//! discipline: the decoded input's form must equal the request's, the
+//! datatype environment fingerprint must match, and the decoded output
+//! must lint — so a truncated, corrupt, or stale file can only ever cost
+//! a miss, never a wrong term. A disk hit synthesizes a zero-pass
 //! [`PipelineReport`] (the censuses are real walks of the adopted terms)
 //! and populates the in-memory tier.
 //!
@@ -100,7 +103,7 @@
 use crate::pipeline::{optimize_with_report, OptConfig, Recovery};
 use crate::stats::{Census, PipelineReport};
 use crate::OptError;
-use fj_ast::{alpha_eq, alpha_fingerprint, DataEnv, Expr, FxHashMap, NameSupply};
+use fj_ast::{AlphaForm, DataEnv, Expr, FxHashMap, NameSupply};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -127,7 +130,8 @@ const ENTRY_OVERHEAD: usize = 256;
 /// [`CacheStore`] implementations can address persisted entries by it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CacheKey {
-    /// [`alpha_fingerprint`] of the input term.
+    /// [`alpha_fingerprint`](fj_ast::alpha_fingerprint) of the input
+    /// term.
     pub term: u64,
     /// [`OptConfig::fingerprint`] of the configuration.
     pub cfg: u64,
@@ -159,9 +163,9 @@ impl Slot {
 /// The exact input an entry was built from, kept to verify hits (64-bit
 /// fingerprints and text hashes can collide).
 enum Input {
-    /// An α-class entry's input term, checked with a real [`alpha_eq`]
-    /// walk.
-    Term(Arc<Expr>),
+    /// An α-class entry's input term in canonical form, compared with the
+    /// request's.
+    Term(Arc<AlphaForm>),
     /// A source-text entry's text, checked byte for byte, and the
     /// program's datatype environment, handed back on a hit.
     Source(Box<str>, Arc<DataEnv>),
@@ -235,10 +239,11 @@ enum FlightState {
     Failed,
 }
 
-/// An in-flight compile for one key: the leader's input (waiters must
-/// α-match it — the key alone could collide) and the publish slot.
+/// An in-flight compile for one key: the leader's input in canonical form
+/// (a waiter's form must equal it — the key alone could collide) and the
+/// publish slot.
 struct Flight {
-    input: Arc<Expr>,
+    input: Arc<AlphaForm>,
     state: Mutex<FlightState>,
     cv: Condvar,
 }
@@ -698,8 +703,8 @@ pub fn optimize_cached(
 ) -> Result<(Arc<Expr>, Arc<PipelineReport>, bool), OptError> {
     // Lint gates every *pipeline run*; verified hits skip it. That is
     // sound, not just fast: typing is α-invariant, and a hit is only
-    // served after an α-walk against an input that was linted before it
-    // was inserted.
+    // served when the request's form equals that of an input that was
+    // linted before it was inserted.
     let run = |supply: &mut NameSupply| {
         fj_check::lint(e, data_env)?;
         optimize_with_report(e, data_env, supply, cfg)
@@ -710,8 +715,9 @@ pub fn optimize_cached(
         let (out, report) = run(supply)?;
         return Ok((Arc::new(out), Arc::new(report), false));
     };
+    let form = Arc::new(AlphaForm::of(e));
     let key = CacheKey {
-        term: cache.key_hash(alpha_fingerprint(e)),
+        term: cache.key_hash(form.fingerprint()),
         cfg: cfg_fp,
         env: data_env.fingerprint(),
         resilient: cfg.recovery == Recovery::RollBack,
@@ -724,10 +730,10 @@ pub fn optimize_cached(
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         if let Some(entry) = guard.map.get_mut(&Slot::Term(key)) {
-            // Fingerprints can collide; only a real α-walk makes the hit
+            // Fingerprints can collide; only equal forms make the hit
             // sound. A collision (different term, same key) falls through
             // to a pipeline run whose insert *replaces* this entry.
-            if matches!(&entry.input, Input::Term(input) if alpha_eq(e, input)) {
+            if matches!(&entry.input, Input::Term(input) if *input == form) {
                 entry.stamp = cache.clock.fetch_add(1, Ordering::Relaxed);
                 let hit = (Arc::clone(&entry.term), Arc::clone(&entry.report));
                 let supply_high = entry.supply_high;
@@ -738,7 +744,7 @@ pub fn optimize_cached(
             }
         }
         if let Some(flight) = guard.inflight.get(&key) {
-            if alpha_eq(e, &flight.input) {
+            if flight.input == form {
                 // Someone is compiling this very term: wait and adopt.
                 let flight = Arc::clone(flight);
                 drop(guard);
@@ -758,14 +764,14 @@ pub fn optimize_cached(
             cache.misses.fetch_add(1, Ordering::Relaxed);
             let (term, report) = (Arc::new(out), Arc::new(report));
             if !report.hit_deadline() {
-                let input = Input::Term(Arc::new(e.clone()));
+                let input = Input::Term(form);
                 cache.insert(Slot::Term(key), input, &term, &report, supply.peek());
             }
             return Ok((term, report, false));
         }
         // No resident α-match, nothing in flight: lead.
         let flight = Arc::new(Flight {
-            input: Arc::new(e.clone()),
+            input: Arc::clone(&form),
             state: Mutex::new(FlightState::Pending),
             cv: Condvar::new(),
         });
@@ -793,7 +799,7 @@ pub fn optimize_cached(
                 // Adoption discipline: right environment, α-equal input,
                 // and a well-typed output. Anything less is a miss.
                 if stored.env_fingerprint == key.env
-                    && alpha_eq(e, &stored.input)
+                    && AlphaForm::of(&stored.input) == *form
                     && fj_check::lint(&stored.output, data_env).is_ok()
                 {
                     let term = Arc::new(stored.output);
@@ -804,7 +810,7 @@ pub fn optimize_cached(
                         wall: Duration::ZERO,
                     });
                     supply.advance_past(stored.supply_high);
-                    let input = Input::Term(Arc::new(stored.input));
+                    let input = Input::Term(form);
                     cache.insert(Slot::Term(key), input, &term, &report, stored.supply_high);
                     cache.disk_hits.fetch_add(1, Ordering::Relaxed);
                     flight_guard.finish(Arc::clone(&term), Arc::clone(&report), stored.supply_high);
@@ -828,10 +834,9 @@ pub fn optimize_cached(
         flight_guard.finish(Arc::clone(&term), Arc::clone(&report), supply_high);
         return Ok((term, report, false));
     }
-    let input = Arc::new(e.clone());
     cache.insert(
         Slot::Term(key),
-        Input::Term(Arc::clone(&input)),
+        Input::Term(form),
         &term,
         &report,
         supply_high,
@@ -840,7 +845,7 @@ pub fn optimize_cached(
     // Write-behind after waiters are released: persistence is advisory
     // and must not extend the dogpile window.
     if let Some(store) = &cache.store {
-        if store.store(&key, &input, &term, data_env) {
+        if store.store(&key, e, &term, data_env) {
             cache.disk_writes.fetch_add(1, Ordering::Relaxed);
         } else {
             cache.disk_write_failures.fetch_add(1, Ordering::Relaxed);
@@ -853,7 +858,7 @@ pub fn optimize_cached(
 mod tests {
     use super::*;
     use crate::guard::{PassCtx, PassTap};
-    use fj_ast::{Dsl, Type};
+    use fj_ast::{alpha_eq, alpha_fingerprint, Dsl, Type};
 
     /// `\n. (\x. x + n) 1` — enough structure for the simplifier to act on.
     fn program(dsl: &mut Dsl) -> Expr {
@@ -1237,6 +1242,16 @@ mod tests {
         let (t1, _, hit) = optimize_cached(&e1, &d1.data_env, &mut s1, &cfg, &cache1).unwrap();
         assert!(!hit);
         assert_eq!(cache1.stats().disk_writes, 1);
+        // The store is addressed by the input's own fingerprint, so a
+        // reader holding only the program can find the entry.
+        let written: Vec<CacheKey> = store.map.lock().unwrap().keys().copied().collect();
+        let want = CacheKey {
+            term: alpha_fingerprint(&e1),
+            cfg: cfg.fingerprint().unwrap(),
+            env: d1.data_env.fingerprint(),
+            resilient: false,
+        };
+        assert_eq!(written, [want]);
 
         // A "restarted" cache: same store, empty memory.
         let cache2 = OptCache::with_budget(4, DEFAULT_CACHE_BYTES).with_store(store as _);
@@ -1319,6 +1334,17 @@ mod tests {
                 .fingerprint()
                 .unwrap()
         );
+        // A lint never changes a cached output, so debug builds (lint on
+        // by default) and release builds (off) share entries.
+        for lint in [false, true] {
+            assert_eq!(
+                a,
+                OptConfig::join_points()
+                    .with_lint(lint)
+                    .fingerprint()
+                    .unwrap()
+            );
+        }
     }
 
     #[test]

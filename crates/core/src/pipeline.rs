@@ -217,6 +217,10 @@ impl OptConfig {
     /// The pass deadline is left out: a run it cuts short either fails
     /// (strict) or is degraded by a rollback (resilient), and neither is
     /// ever cached, so every cached output is independent of it. So is
+    /// [`OptConfig::lint_between`]: a lint never changes an output — a
+    /// failed lint is an error, which is never cached, and resilient mode
+    /// lints after every pass regardless — so debug and release builds,
+    /// whose defaults differ, share entries. And so is
     /// [`OptConfig::recovery`]: the cache key carries the mode as a bit of
     /// its own ([`CacheKey::resilient`](crate::CacheKey::resilient)).
     pub fn fingerprint(&self) -> Option<u64> {
@@ -230,7 +234,6 @@ impl OptConfig {
             p.name().hash(&mut h);
         }
         self.simpl.join_points.hash(&mut h);
-        self.lint_between.hash(&mut h);
         self.max_growth.map(f64::to_bits).hash(&mut h);
         self.max_passes.hash(&mut h);
         Some(h.finish())

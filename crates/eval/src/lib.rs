@@ -25,6 +25,7 @@ mod metrics;
 
 pub use machine::{
     is_cheap, run, run_int, run_with_limits, EvalMode, Machine, MachineError, Outcome, Value,
+    DEADLINE_CHECK_MASK,
 };
 pub use metrics::Metrics;
 

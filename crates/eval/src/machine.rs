@@ -37,7 +37,8 @@ use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 /// The machine polls its wall-clock deadline every `DEADLINE_CHECK_MASK
-/// + 1` steps (a power of two so the check is a cheap bit-test).
+/// + 1` steps (a power of two so the check is a cheap bit-test), and the
+/// VM every `DEADLINE_CHECK_MASK + 1` instructions.
 pub const DEADLINE_CHECK_MASK: u64 = 0xFFF;
 
 /// Evaluation order.

@@ -46,11 +46,25 @@ impl Metrics {
         self.let_allocs + self.arg_allocs + self.con_allocs
     }
 
+    /// The counters every backend must reproduce exactly, as
+    /// `(let_allocs, arg_allocs, con_allocs, jumps)`. `steps` and
+    /// `max_stack` are exempt: each backend counts its own transitions
+    /// and frames, and a machine step is not a VM instruction.
+    pub fn backend_counters(&self) -> (u64, u64, u64, u64) {
+        (
+            self.let_allocs,
+            self.arg_allocs,
+            self.con_allocs,
+            self.jumps,
+        )
+    }
+
     /// Percentage change in total allocations from `baseline` to `self`,
     /// as the paper reports it (negative = improvement).
     ///
     /// Returns `-100.0` when the baseline allocates and `self` does not,
-    /// and `0.0` when neither allocates.
+    /// `0.0` when neither allocates, and `f64::INFINITY` when the baseline
+    /// allocates nothing and `self` does.
     pub fn alloc_delta_pct(&self, baseline: &Metrics) -> f64 {
         let b = baseline.total_allocs() as f64;
         let n = self.total_allocs() as f64;

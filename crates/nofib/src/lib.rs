@@ -275,10 +275,9 @@ pub fn run_program_with_reports(p: &Program) -> ReportRow {
         "{}: vm backend disagrees on the value",
         p.name
     );
-    let counters = |m: &Metrics| (m.let_allocs, m.arg_allocs, m.con_allocs, m.jumps);
     assert_eq!(
-        counters(&vm.metrics),
-        counters(&m_join),
+        vm.metrics.backend_counters(),
+        m_join.backend_counters(),
         "{}: vm backend disagrees on allocation metrics",
         p.name
     );

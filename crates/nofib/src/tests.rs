@@ -338,18 +338,8 @@ fn vm_fusion_counters_exact_on_fusion_matrix() {
             );
             assert_eq!(u.value, f.value, "{variant:?} {label}");
             assert_eq!(
-                (
-                    u.metrics.let_allocs,
-                    u.metrics.arg_allocs,
-                    u.metrics.con_allocs,
-                    u.metrics.jumps
-                ),
-                (
-                    f.metrics.let_allocs,
-                    f.metrics.arg_allocs,
-                    f.metrics.con_allocs,
-                    f.metrics.jumps
-                ),
+                u.metrics.backend_counters(),
+                f.metrics.backend_counters(),
                 "{variant:?} {label}: fusion changed the counters"
             );
         }

@@ -107,8 +107,8 @@ fn served_compiles_match_serial_and_batch_on_every_program() {
         );
 
         // Routes 3 and 4: served cold (miss), then served hot — once with
-        // byte-identical text (textual front-cache hit) and once with a
-        // trailing comment added (re-parses, α-hits the term cache).
+        // byte-identical text (a source-text entry hit) and once with a
+        // trailing comment added (re-parses, hits the α-class entry).
         for (p, want) in programs().iter().zip(&serial) {
             let cold = server
                 .compile_source(p.source, &opts)
@@ -166,17 +166,15 @@ fn served_compiles_match_serial_and_batch_on_every_program() {
                     p.name
                 );
             }
-            let counters =
-                |m: &fj_eval::Metrics| (m.let_allocs, m.arg_allocs, m.con_allocs, m.jumps);
             assert_eq!(
-                counters(&reference.metrics),
-                counters(&machine.metrics),
+                reference.metrics.backend_counters(),
+                machine.metrics.backend_counters(),
                 "{} [{preset}]: served term allocates differently",
                 p.name
             );
             assert_eq!(
-                counters(&reference.metrics),
-                counters(&vm.metrics),
+                reference.metrics.backend_counters(),
+                vm.metrics.backend_counters(),
                 "{} [{preset}]: vm metrics diverge for the served term",
                 p.name
             );
@@ -363,7 +361,6 @@ fn fusion_matrix_serves_with_exact_allocation_bars() {
         }
     }
 
-    let counters = |m: &fj_eval::Metrics| (m.let_allocs, m.arg_allocs, m.con_allocs, m.jumps);
     for (preset, cfg) in [
         ("join-points", OptConfig::join_points()),
         ("baseline", OptConfig::baseline()),
@@ -404,13 +401,13 @@ fn fusion_matrix_serves_with_exact_allocation_bars() {
                     // The service is transparent: counter-for-counter
                     // identical to the direct pipeline, on both backends.
                     assert_eq!(
-                        counters(&direct_run.metrics),
-                        counters(&machine.metrics),
+                        direct_run.metrics.backend_counters(),
+                        machine.metrics.backend_counters(),
                         "{tag}: served term allocates differently from direct"
                     );
                     assert_eq!(
-                        counters(&direct_run.metrics),
-                        counters(&vm.metrics),
+                        direct_run.metrics.backend_counters(),
+                        vm.metrics.backend_counters(),
                         "{tag}: vm counters diverge"
                     );
 
@@ -467,7 +464,6 @@ fn restarted_server_serves_alpha_equal_terms_from_disk() {
     let _ = std::fs::remove_dir_all(&dir);
     let store = || Arc::new(FileStore::open(&dir).expect("cache dir"));
     let opts = opts_for("join-points");
-    let counters = |m: &fj_eval::Metrics| (m.let_allocs, m.arg_allocs, m.con_allocs, m.jumps);
 
     // Cold generation: one server writes the whole suite through.
     let cold_server = ServerState::new(2, 16 << 20).with_store(store());
@@ -526,14 +522,14 @@ fn restarted_server_serves_alpha_equal_terms_from_disk() {
             p.name
         );
         assert_eq!(
-            counters(&cold_m.metrics),
-            counters(&warm_m.metrics),
+            cold_m.metrics.backend_counters(),
+            warm_m.metrics.backend_counters(),
             "{}: machine counters must match the cold compile",
             p.name
         );
         assert_eq!(
-            counters(&cold_m.metrics),
-            counters(&warm_v.metrics),
+            cold_m.metrics.backend_counters(),
+            warm_v.metrics.backend_counters(),
             "{}: VM counters must match the cold compile",
             p.name
         );

@@ -36,18 +36,8 @@ fn vm_matches_machine_on_every_nofib_program() {
                         p.name
                     );
                     assert_eq!(
-                        (
-                            m.metrics.let_allocs,
-                            m.metrics.arg_allocs,
-                            m.metrics.con_allocs,
-                            m.metrics.jumps
-                        ),
-                        (
-                            v.metrics.let_allocs,
-                            v.metrics.arg_allocs,
-                            v.metrics.con_allocs,
-                            v.metrics.jumps
-                        ),
+                        m.metrics.backend_counters(),
+                        v.metrics.backend_counters(),
                         "{} [{label}] fuse={fuse}: backends disagree on allocation metrics",
                         p.name
                     );

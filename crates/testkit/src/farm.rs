@@ -392,17 +392,14 @@ pub fn check_routes(cfg: &FarmConfig, g: &G, seed: u64) -> Result<bool, (RoutePa
             ),
         ));
     }
-    let (m, v) = (&optimized.metrics, &vm.metrics);
-    if (m.let_allocs, m.arg_allocs, m.con_allocs, m.jumps)
-        != (v.let_allocs, v.arg_allocs, v.con_allocs, v.jumps)
-    {
+    let (m, v) = (
+        optimized.metrics.backend_counters(),
+        vm.metrics.backend_counters(),
+    );
+    if m != v {
         return Err((
             ("machine", "vm"),
-            format!(
-                "backends disagree on allocation counters: machine let={} arg={} con={} jumps={} vs vm let={} arg={} con={} jumps={}",
-                m.let_allocs, m.arg_allocs, m.con_allocs, m.jumps,
-                v.let_allocs, v.arg_allocs, v.con_allocs, v.jumps
-            ),
+            format!("backends disagree on (let, arg, con, jumps): machine {m:?} vs vm {v:?}"),
         ));
     }
 
@@ -439,17 +436,14 @@ pub fn check_routes(cfg: &FarmConfig, g: &G, seed: u64) -> Result<bool, (RoutePa
             ),
         ));
     }
-    let (u, f) = (&unfused.metrics, &fused.metrics);
-    if (u.let_allocs, u.arg_allocs, u.con_allocs, u.jumps)
-        != (f.let_allocs, f.arg_allocs, f.con_allocs, f.jumps)
-    {
+    let (u, f) = (
+        unfused.metrics.backend_counters(),
+        fused.metrics.backend_counters(),
+    );
+    if u != f {
         return Err((
             ("vm-unfused", "vm-fused"),
-            format!(
-                "fusion changed the counters: unfused let={} arg={} con={} jumps={} vs fused let={} arg={} con={} jumps={}",
-                u.let_allocs, u.arg_allocs, u.con_allocs, u.jumps,
-                f.let_allocs, f.arg_allocs, f.con_allocs, f.jumps
-            ),
+            format!("fusion changed (let, arg, con, jumps): unfused {u:?} vs fused {f:?}"),
         ));
     }
 

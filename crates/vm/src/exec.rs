@@ -24,7 +24,7 @@ use crate::ops::{CaseTable, ChargeKind, Code, Op, Program, RecBinding};
 use crate::profile::OpProfile;
 use crate::value::{ClosureCell, ThunkCell, ThunkState, VmError, VmValue};
 use fj_ast::PrimOp;
-use fj_eval::{EvalMode, Metrics, Outcome, Value};
+use fj_eval::{EvalMode, Metrics, Outcome, Value, DEADLINE_CHECK_MASK};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -37,10 +37,6 @@ struct FrameV {
     env_base: usize,
     update: Option<Rc<ThunkCell>>,
 }
-
-/// The VM polls its wall-clock deadline every `DEADLINE_CHECK_MASK + 1`
-/// instructions, matching the machine's cadence (`fj_eval`).
-pub const DEADLINE_CHECK_MASK: u64 = 0xFFF;
 
 /// A per-dispatch observation hook. The production tracer is a no-op
 /// zero-sized type, so the generic loop compiles to the plain

@@ -39,21 +39,11 @@ fn assert_parity(e: &Expr, mode: EvalMode) -> Result<(), String> {
                         m.value, v.value
                     ));
                 }
-                let (a, b) = (&m.metrics, &v.metrics);
-                if (a.let_allocs, a.arg_allocs, a.con_allocs, a.jumps)
-                    != (b.let_allocs, b.arg_allocs, b.con_allocs, b.jumps)
-                {
+                let (a, b) = (m.metrics.backend_counters(), v.metrics.backend_counters());
+                if a != b {
                     return Err(format!(
-                        "{mode:?} fuse={fuse}: metric mismatch: machine let={} arg={} con={} \
-                         jumps={} vs vm let={} arg={} con={} jumps={}\n{e}",
-                        a.let_allocs,
-                        a.arg_allocs,
-                        a.con_allocs,
-                        a.jumps,
-                        b.let_allocs,
-                        b.arg_allocs,
-                        b.con_allocs,
-                        b.jumps
+                        "{mode:?} fuse={fuse}: (let, arg, con, jumps) mismatch: \
+                         machine {a:?} vs vm {b:?}\n{e}"
                     ));
                 }
             }

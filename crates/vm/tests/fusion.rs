@@ -113,18 +113,8 @@ fn fused_counters_exact_on_join_loop() {
         assert_eq!(f.value, Value::Int(500_500));
         assert_eq!(u.value, f.value, "{mode:?}");
         assert_eq!(
-            (
-                u.metrics.let_allocs,
-                u.metrics.arg_allocs,
-                u.metrics.con_allocs,
-                u.metrics.jumps
-            ),
-            (
-                f.metrics.let_allocs,
-                f.metrics.arg_allocs,
-                f.metrics.con_allocs,
-                f.metrics.jumps
-            ),
+            u.metrics.backend_counters(),
+            f.metrics.backend_counters(),
             "{mode:?}: fusion changed the counters"
         );
     }
@@ -169,22 +159,11 @@ fn fused_vs_unfused_generated_programs() {
                                 u.value, f.value
                             ));
                         }
-                        let (a, b) = (&u.metrics, &f.metrics);
-                        if (a.let_allocs, a.arg_allocs, a.con_allocs, a.jumps)
-                            != (b.let_allocs, b.arg_allocs, b.con_allocs, b.jumps)
-                        {
+                        let (a, b) = (u.metrics.backend_counters(), f.metrics.backend_counters());
+                        if a != b {
                             return Err(format!(
-                                "{mode:?}: fusion changed the counters: \
-                                 unfused let={} arg={} con={} jumps={} vs \
-                                 fused let={} arg={} con={} jumps={}\n{e}",
-                                a.let_allocs,
-                                a.arg_allocs,
-                                a.con_allocs,
-                                a.jumps,
-                                b.let_allocs,
-                                b.arg_allocs,
-                                b.con_allocs,
-                                b.jumps
+                                "{mode:?}: fusion changed (let, arg, con, jumps): \
+                                 unfused {a:?} vs fused {b:?}\n{e}"
                             ));
                         }
                     }

@@ -136,13 +136,17 @@ if [[ "$QUICK" -eq 0 ]]; then
   # Warm-restart smoke: with --cache-dir, a compile served by one server
   # process must come back as a disk-backed cache hit after a full
   # restart over the same directory — the persistent tier survives the
-  # process, and the stats block must admit where the hit came from.
+  # process, and the stats block must admit where the hit came from. The
+  # last round restarts the debug build (from the test run above) on the
+  # same directory: debug and release builds share cache keys.
   RESTART_DIR="$(mktemp -d)"
   RESTART_REQ='{"op": "compile", "program": "def main : Int = 21 * 2;"}'
-  for ROUND in cold warm; do
+  for ROUND in cold warm debug; do
+    FJ=./target/release/fj
+    [[ "$ROUND" == debug ]] && FJ=./target/debug/fj
     SERVE_LOG="$(mktemp)"
-    echo "==> ./target/release/fj serve --port 0 --cache-dir $RESTART_DIR   ($ROUND restart smoke)"
-    ./target/release/fj serve --port 0 --cache-dir "$RESTART_DIR" > "$SERVE_LOG" 2>&1 &
+    echo "==> $FJ serve --port 0 --cache-dir $RESTART_DIR   ($ROUND restart smoke)"
+    "$FJ" serve --port 0 --cache-dir "$RESTART_DIR" > "$SERVE_LOG" 2>&1 &
     SERVE_PID=$!
     trap 'kill $SERVE_PID 2>/dev/null || true' EXIT
     for _ in $(seq 50); do
